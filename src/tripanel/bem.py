@@ -13,12 +13,21 @@ interfaces listed after the outer boundary are treated as insulators
 into the domain the jump term flips to +1/2 and the right-hand side is
 zero there.
 
-Off-diagonal entries come from the exact closed forms (vectorized over
-panels, with the scalar path as fallback for flagged pairs).  Panels
-incident to the collocation node -- where the flat-panel integral
-diverges -- route to a pluggable singular-integral strategy: the
-curvature-corrected closed form (QSA), zero, or one-point quadrature at
-the flat or surface-projected centroid.
+Every operator here (the collocation matrix, the identity row sums, the
+single-layer matrix, the potential and its gradient) is a sum over
+(target, panel) pairs that one engine, `_pair_blocks`, evaluates a block
+of targets at a time.  Each pair takes one of three routes:
+
+1. batch: the vectorized flat closed forms of `batch`;
+2. scalar fallback: pairs the batch flags as ill-conditioned, redone by
+   the closed forms of `panel_integrals`;
+3. singular strategy: where the flat-panel integral diverges (incident
+   panels, or a flagged pair whose scalar integral diverges), the
+   curvature-corrected closed form (QSA), zero, or one-point quadrature
+   at the flat or surface-projected centroid.
+
+Each operator only reduces the blocks: it scatters hat values into
+matrix rows, sums rows, or contracts with the density.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +61,10 @@ from .mesh_io import SurfaceMesh, generate_sphere_mesh, generate_torus_mesh
 from .panel_integrals import PanelPolynomial, integrate_g_panel, integrate_k_panel
 from .qsa import foot_point, qsa_on_boundary
 
+# the densities a pair is integrated against: the three vertex hats of a
+# matrix entry, or the unit density of an identity row sum
 _HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
+_UNIT = [PanelPolynomial.constant(1.0)]
 _PAIR_BUDGET = 150_000  # rows x panels per vectorized block
 
 
@@ -113,27 +126,21 @@ def _as_mesh_list(meshes):
 
 
 class _Assembly:
-    """Concatenated node/panel tables shared by the assembly loops."""
+    """Concatenated node/panel tables shared by the operators."""
 
     def __init__(self, meshes, normals=None):
         self.meshes = _as_mesh_list(meshes)
-        offs, nodes, nrms = [], [], []
-        tris, mesh_id = [], []
+        self._given_normals = normals
+        offs, nodes, tris = [], [], []
         at = 0
-        for m, mesh in enumerate(self.meshes):
+        for mesh in self.meshes:
             offs.append(at)
             nodes.append(mesh.nodes)
-            got = None if normals is None else normals[m]
-            nrms.append(estimate_normals(mesh) if got is None
-                        else np.asarray(got, dtype=float))
             tris.append(mesh.triangles + at)
-            mesh_id.append(np.full(len(mesh.triangles), m))
             at += len(mesh.nodes)
         self.offsets = tuple(offs)
         self.nodes = np.concatenate(nodes)
-        self.normals = np.concatenate(nrms)
         self.tris = np.concatenate(tris)
-        self.mesh_id = np.concatenate(mesh_id)
         self.verts = self.nodes[self.tris]
         self.frames = panel_frames(self.verts)
         self.areas = 0.5 * np.linalg.norm(
@@ -145,14 +152,22 @@ class _Assembly:
             for v in tri:
                 self.incident[v].append(p)
 
+    @cached_property
+    def normals(self):
+        """Node normals: the caller's, else the mesh's stored ones, else
+        the angle-weighted estimate.  Only the K operators read them."""
+        given = self._given_normals or [None] * len(self.meshes)
+        out = []
+        for mesh, got in zip(self.meshes, given):
+            if got is None:
+                got = mesh.node_normals
+            out.append(estimate_normals(mesh) if got is None
+                       else np.asarray(got, dtype=float))
+        return np.concatenate(out)
+
     def mesh_of_node(self, i):
         m = np.searchsorted(self.offsets, i, side="right") - 1
         return int(m)
-
-    def row_blocks(self):
-        blk = max(1, _PAIR_BUDGET // max(len(self.tris), 1))
-        for start in range(0, len(self.nodes), blk):
-            yield start, min(start + blk, len(self.nodes))
 
 
 def _node_form(forms, asm, i):
@@ -175,41 +190,96 @@ def _patch_projection(x, normal, form, centroid):
     return x + s1 * b1 + s2 * b2 + height * np.asarray(normal, dtype=float)
 
 
-def _strategy_hat_values(strategy, asm, i, p, forms, probes):
-    """The three vertex-hat integrals of an incident (or divergent) panel."""
+def _pair_blocks(asm, points, normals, densities, incident=None):
+    """All (target, panel) integrals of one operator, a block of targets
+    at a time.
+
+    K with the target `normals`, or G when they are None, against each of
+    `densities` (_HATS, or _UNIT for K row sums).  Pairs the batch call
+    flags are redone on the scalar path.  Callers with a singular strategy
+    pass `incident` (per target, the panels it sits on): those pairs, and
+    flagged pairs whose scalar integral diverges, come back pending with
+    value zero.  Without it a divergent pair raises DivergentIntegral.
+
+    Yields (start, stop, vals, pending): vals[j, p, d] belongs to target
+    start + j, panel p and densities[d].
+    """
+    blk = max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
+    for start in range(0, len(points), blk):
+        stop = min(start + blk, len(points))
+        if normals is None:
+            vals, flagged = g_panel_entries(points[start:stop], asm.verts,
+                                            frames=asm.frames)
+            integrate = integrate_g_panel
+        else:
+            batch = k_row_sums if densities is _UNIT else k_panel_entries
+            vals, flagged = batch(points[start:stop], normals[start:stop],
+                                  asm.verts, frames=asm.frames)
+            integrate = integrate_k_panel
+        vals = vals.reshape(*flagged.shape, len(densities))
+        pending = np.zeros(flagged.shape, dtype=bool)
+        if incident is not None:
+            for j in range(stop - start):
+                pending[j, incident[start + j]] = True
+            flagged &= ~pending
+        for j, p in zip(*np.nonzero(flagged)):
+            i = start + j
+            target = Target(points[i], None if normals is None else normals[i])
+            try:
+                vals[j, p] = [integrate(Panel(*asm.verts[p]), target, h)
+                              for h in densities]
+            except DivergentIntegral:
+                if incident is None:
+                    raise
+                pending[j, p] = True
+        vals[pending] = 0.0
+        yield start, stop, vals, pending
+
+
+def _strategy_values(strategy, asm, i, p, densities, forms, probes):
+    """int K(x_i, y) h(y) dS over panel p for each density h, by `strategy`.
+
+    For the pairs the flat closed forms cannot give.  The one-point
+    centroid rules weigh each density by its centroid value, which is
+    1/len(densities) for both density sets (three hats, or the unit).
+    """
     x = asm.nodes[i]
     n = asm.normals[i]
     if strategy is SingularStrategy.Zero:
-        return np.zeros(3)
-    if strategy is SingularStrategy.Centroid:
-        k = kernel_k(x, n, asm.centroids[p])
-        return np.full(3, k * asm.areas[p] / 3.0)
+        return np.zeros(len(densities))
+    if strategy is SingularStrategy.QSA:
+        form = _node_form(forms, asm, i)
+        panel = Panel(*asm.verts[p])
+        target = Target(x, n)
+        return np.array([qsa_on_boundary(panel, target, form, h)
+                         for h in densities])
+    y = asm.centroids[p]
     if strategy is SingularStrategy.CentroidStar:
-        m = asm.mesh_of_node(i)
-        probe = None if probes is None else probes[m]
+        probe = None if probes is None else probes[asm.mesh_of_node(i)]
         if probe is not None:
-            star, _ = foot_point(probe, asm.centroids[p])
+            y, _ = foot_point(probe, y)
         else:
-            star = _patch_projection(x, n, _node_form(forms, asm, i),
-                                     asm.centroids[p])
-        k = kernel_k(x, n, star)
-        return np.full(3, k * asm.areas[p] / 3.0)
-    form = _node_form(forms, asm, i)
-    panel = Panel(*asm.verts[p])
-    target = Target(x, n)
-    return np.array([qsa_on_boundary(panel, target, form, h) for h in _HATS])
+            y = _patch_projection(x, n, _node_form(forms, asm, i), y)
+    k = kernel_k(x, n, y)
+    return np.full(len(densities), k * asm.areas[p] / len(densities))
+
+
+def _scatter(asm, vals):
+    """Panel hat values of a block, (rows, panels, 3), as node-column rows."""
+    return np.array([np.bincount(asm.tris.ravel(), weights=v.ravel(),
+                                 minlength=len(asm.nodes)) for v in vals])
 
 
 def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
-             normals=None, probes=None, neumann_bc=None,
-             row_block=None) -> BemSystem:
+             normals=None, probes=None, neumann_bc=None) -> BemSystem:
     """Dense collocation matrix and right-hand side.
 
     meshes: one SurfaceMesh or a list; the first is the outer boundary
     (jump -1/2, Neumann data `neumann_bc`), later ones are enclosed
     insulating interfaces (+1/2 jump, zero flux).  forms/normals/probes
-    are per-mesh lists; normals default to the angle-weighted estimate.
-    Incident and flat-singular panels route through `strategy`.
+    are per-mesh lists; normals default to the mesh's stored node
+    normals, else the angle-weighted estimate.  Incident and
+    flat-singular panels route through `strategy`.
     """
     asm = _Assembly(meshes, normals)
     if strategy is SingularStrategy.QSA and forms is None:
@@ -221,32 +291,12 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
             "CentroidStar needs a surface probe or fitted patch forms")
     n_nodes = len(asm.nodes)
     matrix = np.zeros((n_nodes, n_nodes))
-    blk = row_block or None
-    for start, stop in (asm.row_blocks() if blk is None else
-                        [(s, min(s + blk, n_nodes))
-                         for s in range(0, n_nodes, blk)]):
-        vals, fb = k_panel_entries(asm.nodes[start:stop],
-                                   asm.normals[start:stop],
-                                   asm.verts, frames=asm.frames)
-        for i in range(start, stop):
-            v = vals[i - start]
-            flagged = fb[i - start].copy()
-            inc = asm.incident[i]
-            flagged[inc] = False
-            target = Target(asm.nodes[i], asm.normals[i])
-            for p in np.nonzero(flagged)[0]:
-                panel = Panel(*asm.verts[p])
-                try:
-                    v[p] = [integrate_k_panel(panel, target, h)
-                            for h in _HATS]
-                except DivergentIntegral:
-                    v[p] = _strategy_hat_values(strategy, asm, i, int(p),
-                                                forms, probes)
-            for p in inc:
-                v[p] = _strategy_hat_values(strategy, asm, i, p,
-                                            forms, probes)
-            matrix[i] = np.bincount(asm.tris.ravel(), weights=v.ravel(),
-                                    minlength=n_nodes)
+    for start, stop, vals, pending in _pair_blocks(
+            asm, asm.nodes, asm.normals, _HATS, asm.incident):
+        for j, p in zip(*np.nonzero(pending)):
+            vals[j, p] = _strategy_values(strategy, asm, start + j, p,
+                                          _HATS, forms, probes)
+        matrix[start:stop] = _scatter(asm, vals)
     for i in range(n_nodes):
         matrix[i, i] += -0.5 if asm.mesh_of_node(i) == 0 else 0.5
     rhs = np.zeros(n_nodes)
@@ -289,25 +339,12 @@ def identity_row_parts(mesh: SurfaceMesh, normals=None):
     pair whose flat frame is singular for that node).
     """
     asm = _Assembly(mesh, None if normals is None else [normals])
-    n_nodes = len(asm.nodes)
-    base = np.zeros(n_nodes)
-    pending = [list(asm.incident[i]) for i in range(n_nodes)]
-    for start, stop in asm.row_blocks():
-        sums, fb = k_row_sums(asm.nodes[start:stop], asm.normals[start:stop],
-                              asm.verts, frames=asm.frames)
-        for i in range(start, stop):
-            row = sums[i - start]
-            flagged = fb[i - start].copy()
-            flagged[asm.incident[i]] = False
-            row[asm.incident[i]] = 0.0
-            target = Target(asm.nodes[i], asm.normals[i])
-            for p in np.nonzero(flagged)[0]:
-                row[p] = 0.0
-                try:
-                    row[p] = integrate_k_panel(Panel(*asm.verts[p]), target)
-                except DivergentIntegral:
-                    pending[i].append(int(p))
-            base[i] = row.sum()
+    base = np.zeros(len(asm.nodes))
+    pending = []
+    for start, stop, vals, pend in _pair_blocks(
+            asm, asm.nodes, asm.normals, _UNIT, asm.incident):
+        base[start:stop] = vals[:, :, 0].sum(axis=1)
+        pending += [np.flatnonzero(row).tolist() for row in pend]
     return base, pending, asm.normals
 
 
@@ -327,20 +364,10 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
         forms = sphere_forms(mesh)
     asm = _Assembly(mesh, [nrm])
     totals = base.copy()
-    const = PanelPolynomial.constant(1.0)
-    for i in range(len(totals)):
-        x, n = asm.nodes[i], nrm[i]
-        for p in pending[i]:
-            if strategy is SingularStrategy.Zero:
-                continue
-            if strategy is SingularStrategy.Centroid:
-                totals[i] += kernel_k(x, n, asm.centroids[p]) * asm.areas[p]
-            elif strategy is SingularStrategy.CentroidStar:
-                star = _patch_projection(x, n, forms[i], asm.centroids[p])
-                totals[i] += kernel_k(x, n, star) * asm.areas[p]
-            else:
-                totals[i] += qsa_on_boundary(Panel(*asm.verts[p]),
-                                             Target(x, n), forms[i], const)
+    for i, panels in enumerate(pending):
+        for p in panels:
+            totals[i] += _strategy_values(strategy, asm, i, p, _UNIT,
+                                          [forms], None)[0]
     errors = np.abs(totals - 0.5) / 0.5
     return float(errors.max()), errors
 
@@ -375,73 +402,44 @@ def solve(system: BemSystem, regularization=Regularization.PinNode):
     return sol[:n]
 
 
-def single_layer_matrix(meshes, row_block=None):
+def single_layer_matrix(meshes):
     """Dense matrix of int G(x_i, y) hat_j(y) dS at the mesh nodes."""
     asm = _Assembly(meshes)
-    n_nodes = len(asm.nodes)
-    out = np.zeros((n_nodes, n_nodes))
-    for start, stop in asm.row_blocks():
-        vals, fb = g_panel_entries(asm.nodes[start:stop], asm.verts,
-                                   frames=asm.frames)
-        for i in range(start, stop):
-            v = vals[i - start]
-            target = Target(asm.nodes[i])
-            for p in np.nonzero(fb[i - start])[0]:
-                v[p] = [integrate_g_panel(Panel(*asm.verts[p]), target, h)
-                        for h in _HATS]
-            out[i] = np.bincount(asm.tris.ravel(), weights=v.ravel(),
-                                 minlength=n_nodes)
+    out = np.zeros((len(asm.nodes), len(asm.nodes)))
+    for start, stop, vals, _ in _pair_blocks(asm, asm.nodes, None, _HATS):
+        out[start:stop] = _scatter(asm, vals)
     return out
 
 
-def evaluate_potential(meshes, gamma, points, row_block=None):
+def _layer_values(asm, gamma, points, normals):
+    """sum_panels int kernel * gamma dS per point (K with normals, else G)."""
+    gamma_tri = np.asarray(gamma, dtype=float)[asm.tris]      # (P, 3)
+    out = np.zeros(len(points))
+    for start, stop, vals, _ in _pair_blocks(asm, points, normals, _HATS):
+        out[start:stop] = np.einsum("bpm,pm->b", vals, gamma_tri)
+    return out
+
+
+def evaluate_potential(meshes, gamma, points):
     """u(x) = int G gamma dS at arbitrary points via the closed forms."""
-    asm = _Assembly(meshes)
-    gamma = np.asarray(gamma, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    u = np.zeros(len(points))
-    blk = row_block or max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
-    gamma_tri = gamma[asm.tris]      # (P, 3)
-    for start in range(0, len(points), blk):
-        stop = min(start + blk, len(points))
-        vals, fb = g_panel_entries(points[start:stop], asm.verts,
-                                   frames=asm.frames)
-        for j in np.nonzero(fb.any(axis=1))[0]:
-            target = Target(points[start + j])
-            for p in np.nonzero(fb[j])[0]:
-                vals[j, p] = [integrate_g_panel(Panel(*asm.verts[p]),
-                                                target, h) for h in _HATS]
-        u[start:stop] = np.einsum("bpm,pm->b", vals, gamma_tri)
-    return u
+    return _layer_values(_Assembly(meshes), gamma, points, None)
 
 
-def potential_gradient(meshes, gamma, points, row_block=None):
+def potential_gradient(meshes, gamma, points):
     """grad u of the single layer at points off the panel surfaces.
 
     Exact for the discrete layer: d_k u = sum_panels int (x - y).e_k /
     (4 pi r^3) gamma(y) dS is the K engine evaluated with the basis
     vectors in place of the target normal, so no finite differencing is
-    involved.  Points on the layer itself have no single-sided value.
+    involved.  Points on the layer itself have no single-sided value:
+    they raise DivergentIntegral.
     """
-    asm = _Assembly(meshes)
-    gamma_tri = np.asarray(gamma, dtype=float)[asm.tris]
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points)
     targets = np.repeat(points, 3, axis=0)
     directions = np.tile(np.eye(3), (m, 1))
-    out = np.zeros(3 * m)
-    blk = row_block or max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
-    for start in range(0, 3 * m, blk):
-        stop = min(start + blk, 3 * m)
-        vals, fb = k_panel_entries(targets[start:stop],
-                                   directions[start:stop],
-                                   asm.verts, frames=asm.frames)
-        for j in np.nonzero(fb.any(axis=1))[0]:
-            t = Target(targets[start + j], directions[start + j])
-            for p in np.nonzero(fb[j])[0]:
-                vals[j, p] = [integrate_k_panel(Panel(*asm.verts[p]), t, h)
-                              for h in _HATS]
-        out[start:stop] = np.einsum("bpm,pm->b", vals, gamma_tri)
+    out = _layer_values(_Assembly(meshes), gamma, targets, directions)
     return out.reshape(m, 3)
 
 

@@ -378,8 +378,11 @@ _BCS = {
 def cmd_bem(args) -> int:
     sphere = _mesh_from_args(args)
     if args.mesh:
-        # file-backed boundary: no analytic surface, estimate from the mesh
-        s_norm = estimate_normals(sphere)
+        # file-backed boundary: no analytic surface; the file's normals if
+        # it carries them, else estimated from the mesh
+        s_norm = sphere.node_normals
+        if s_norm is None:
+            s_norm = estimate_normals(sphere)
         s_forms = estimate_fundamental_forms(sphere, s_norm)
         s_probe = None
     else:

@@ -14,12 +14,11 @@ target at signed height c above the foot point.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
-from .geometry import Panel, Target, decompose_polar, orient_planar, rotation_to_z
+from .geometry import Panel, decompose_polar, orient_planar, rotation_to_z
 from .panel_integrals import FOUR_PI, PanelPolynomial, compute_k_moments
 from .curvature import FundamentalForm, estimate_fundamental_form, estimate_normals
 
@@ -44,37 +43,6 @@ def _curvature_coeffs(kmat, poly_coeffs, scale=1.0) -> dict:
             if w != 0.0:
                 coef[key] = coef.get(key, 0.0) + scale * w
     return coef
-
-
-def patch_radius(panel: Panel, target) -> float:
-    """Diagnostic epsilon: max projected vertex distance from the target."""
-    rot = rotation_to_z(np.asarray(target.n, dtype=float))
-    proj = (panel.verts - np.asarray(target.x, dtype=float)) @ rot.T
-    return float(np.max(np.hypot(proj[:, 0], proj[:, 1])))
-
-
-@dataclass
-class QsaInput:
-    """One curvature-corrected integration job, with its error scale.
-
-    epsilon is the projected patch radius; the correction's error is
-    O(epsilon^2).  The form must be expressed in (a basis of) the tangent
-    plane of target.n.
-    """
-    panel: Panel
-    target: Target
-    form: FundamentalForm
-    p: PanelPolynomial
-    epsilon: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.epsilon == 0.0:
-            self.epsilon = patch_radius(self.panel, self.target)
-        if self.epsilon <= 0.0:
-            raise ValueError("patch radius must be positive")
-
-    def evaluate(self) -> float:
-        return qsa_on_boundary(self.panel, self.target, self.form, self.p)
 
 
 def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,

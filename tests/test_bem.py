@@ -25,7 +25,12 @@ from tripanel.bem import (
 from tripanel.curvature import estimate_normals
 from tripanel.errors import ConvergenceFailure, DivergentIntegral
 from tripanel.geometry import Panel, Target
-from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, generate_torus_mesh
+from tripanel.mesh_io import (
+    SurfaceMesh,
+    generate_fibonacci_sphere_mesh,
+    generate_sphere_mesh,
+    generate_torus_mesh,
+)
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_triangle
 from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
 
@@ -214,6 +219,42 @@ def test_sphere_identity_strategies_at_s2():
     # recomputing without precomputed parts agrees
     mx2, _ = sphere_identity_test(mesh, SingularStrategy.QSA)
     assert abs(mx2 - errs[SingularStrategy.QSA]) < 1e-12
+
+
+@pytest.mark.parametrize("mesh", [generate_sphere_mesh(2),
+                                  generate_fibonacci_sphere_mesh(150)],
+                         ids=["ico2", "fib150"])
+def test_identity_errors_match_assembled_row_sums(mesh):
+    # the identity's unit-density row sums and the assembled hat entries
+    # (with the -1/2 jump) are the same pairs through the same routes
+    normals = unit_normals(mesh)
+    forms = sphere_forms(mesh)
+    for strat in SingularStrategy:
+        _, per = sphere_identity_test(mesh, strat, forms, normals=normals)
+        a = assemble([mesh], strat, [forms], normals=[normals]).matrix
+        assert np.abs(per - np.abs(a.sum(axis=1)) / 0.5).max() <= 1e-12
+
+
+def test_gradient_on_layer_raises_potential_does_not():
+    mesh = generate_sphere_mesh(1)
+    gamma = np.ones(mesh.n_nodes)
+    node = mesh.nodes[:1]
+    with pytest.raises(DivergentIntegral):
+        potential_gradient([mesh], gamma, node)
+    assert np.isfinite(evaluate_potential([mesh], gamma, node)).all()
+
+
+def test_assemble_defaults_to_stored_node_normals():
+    # tilted away from both the radial and the estimated normals, so a
+    # matrix built from either would differ
+    base = generate_sphere_mesh(1)
+    tilted = unit_normals(base) + np.array([0.2, -0.1, 0.05])
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    mesh = SurfaceMesh(base.nodes, base.triangles, node_normals=tilted)
+    stored = assemble([mesh], SingularStrategy.Zero).matrix
+    given = assemble([mesh], SingularStrategy.Zero,
+                     normals=[mesh.node_normals]).matrix
+    assert np.array_equal(stored, given)
 
 
 def test_kernel_k_pointwise():

@@ -13,10 +13,8 @@ from tripanel.mesh_io import generate_sphere_mesh
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_patch, sphere_patch_chart
 from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
 from tripanel.qsa import (
-    QsaInput,
     angular_primitive,
     foot_point,
-    patch_radius,
     qsa_off_boundary,
     qsa_on_boundary,
     qsa_vertex,
@@ -186,16 +184,6 @@ def _carry(p, panel, sub, x):
     coeffs = p.monomial_coeffs(plan)
     s = ((sub.verts - x) @ rot.T)[:, :2]
     return PanelPolynomial.linear(eval_poly2(coeffs, s))
-
-
-def test_qsa_input_epsilon_and_evaluate():
-    rng = np.random.default_rng(3)
-    panel = sphere_panel(rng, 0.15)
-    x = panel.verts[0]
-    q = QsaInput(panel, Target(x, x), sphere_form(x), PanelPolynomial.constant(1.0))
-    assert q.epsilon > 0.0
-    assert q.epsilon == patch_radius(panel, Target(x, x))
-    assert q.evaluate() == qsa_on_boundary(panel, Target(x, x), sphere_form(x))
 
 
 def test_bilinearity_in_polynomial_and_form():
