@@ -32,11 +32,10 @@ sets.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-FOUR_PI = 4.0 * math.pi
+from .geometry import _cross2
+from .panel_integrals import FOUR_PI
 
 _SERIES_TOL = 1e-6    # arctan(c q)/c switches to its odd series below this
 _HEIGHT_TOL = 1e-12   # |c| below this times the pair scale -> caller fallback
@@ -93,10 +92,6 @@ def _planar_setup(x, verts, n, t1, t2):
                    np.einsum("bpvk,pk->bpv", rel, t2)], axis=-1)
     c = -np.einsum("bpk,pk->bp", rel[:, :, 0, :], n)
     return c, pl
-
-
-def _cross2(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _edge_tables(pl, scale):

@@ -24,7 +24,8 @@ of targets at a time.  Each pair takes one of three routes:
 3. singular strategy: where the flat-panel integral diverges (incident
    panels, or a flagged pair whose scalar integral diverges), the
    curvature-corrected closed form (QSA), zero, or one-point quadrature
-   at the flat or surface-projected centroid.
+   at the flat or surface-projected centroid, evaluated for all pending
+   pairs of a block in one vectorized call.
 
 Each operator only reduces the blocks: it scatters hat values into
 matrix rows, sums rows, or contracts with the density.
@@ -40,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from .batch import (
-    FOUR_PI,
     g_panel_entries,
     k_panel_entries,
     k_row_sums,
@@ -57,9 +57,19 @@ from .curvature import (
 )
 from .errors import ConvergenceFailure, DivergentIntegral
 from .geometry import Panel, Target, rotation_to_z
-from .mesh_io import SurfaceMesh, generate_sphere_mesh, generate_torus_mesh
-from .panel_integrals import PanelPolynomial, integrate_g_panel, integrate_k_panel
-from .qsa import foot_point, qsa_on_boundary
+from .mesh_io import (
+    SurfaceMesh,
+    generate_sphere_mesh,
+    generate_torus_mesh,
+    require_closed_outward,
+)
+from .panel_integrals import (
+    FOUR_PI,
+    PanelPolynomial,
+    integrate_g_panel,
+    integrate_k_panel,
+)
+from .qsa import foot_point, qsa_on_boundary, qsa_vertex_rows, target_vertex
 
 # the densities a pair is integrated against: the three vertex hats of a
 # matrix entry, or the unit density of an identity row sum
@@ -100,12 +110,12 @@ class BemSystem:
 
 
 def kernel_k(x, n, y):
-    """Pointwise K(x, y) = (x - y).n(x) / (4 pi |x - y|^3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    r = np.linalg.norm(diff)
-    return float(diff @ np.asarray(n, dtype=float)) / (FOUR_PI * r ** 3)
+    """Pointwise K(x, y) = (x - y).n(x) / (4 pi |x - y|^3); a float for
+    single points, elementwise over the leading axes of (..., 3) arrays."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    r = np.sqrt((diff * diff).sum(axis=-1))
+    out = (diff * np.asarray(n, dtype=float)).sum(axis=-1) / (FOUR_PI * r ** 3)
+    return float(out) if out.ndim == 0 else out
 
 
 def nodal_areas(mesh: SurfaceMesh) -> np.ndarray:
@@ -166,28 +176,31 @@ class _Assembly:
         return np.concatenate(out)
 
     def mesh_of_node(self, i):
-        m = np.searchsorted(self.offsets, i, side="right") - 1
-        return int(m)
+        """Index of the mesh holding node(s) i."""
+        return np.searchsorted(self.offsets, i, side="right") - 1
 
 
-def _node_form(forms, asm, i):
-    m = asm.mesh_of_node(i)
-    if forms is None or forms[m] is None:
+def _node_forms(forms, asm, rows):
+    """Second fundamental forms at the nodes `rows`: matrices (R, 2, 2)
+    and tangent bases (R, 2, 3)."""
+    nodes, back = np.unique(rows, return_inverse=True)
+    meshes = asm.mesh_of_node(nodes)
+    if forms is None or any(forms[m] is None for m in set(meshes.tolist())):
         raise DivergentIntegral(
             "missing curvature data: this strategy needs per-node "
             "fundamental forms (or a surface probe)")
-    return forms[m][i - asm.offsets[m]]
+    picked = [forms[m][i] for m, i in
+              zip(meshes, nodes - np.asarray(asm.offsets)[meshes])]
+    kmat = np.array([[f.k11, f.k12, f.k12, f.k22] for f in picked])
+    basis = np.array([f.basis for f in picked], dtype=float)
+    return kmat.reshape(-1, 2, 2)[back], basis.reshape(-1, 2, 3)[back]
 
 
-def _patch_projection(x, normal, form, centroid):
-    """Project a panel centroid onto the node's osculating quadratic."""
-    b1, b2 = form.basis
-    rel = centroid - x
-    s1 = float(rel @ b1)
-    s2 = float(rel @ b2)
-    height = 0.5 * (form.k11 * s1 * s1 + 2.0 * form.k12 * s1 * s2
-                    + form.k22 * s2 * s2)
-    return x + s1 * b1 + s2 * b2 + height * np.asarray(normal, dtype=float)
+def _patch_projection(x, normal, kmat, basis, centroid):
+    """Project panel centroids onto the nodes' osculating quadratics."""
+    s = np.einsum("rbk,rk->rb", basis, centroid - x)
+    height = 0.5 * np.einsum("ra,rab,rb->r", s, kmat, s)
+    return x + np.einsum("rb,rbk->rk", s, basis) + height[:, None] * normal
 
 
 def _pair_blocks(asm, points, normals, densities, incident=None):
@@ -236,32 +249,52 @@ def _pair_blocks(asm, points, normals, densities, incident=None):
         yield start, stop, vals, pending
 
 
-def _strategy_values(strategy, asm, i, p, densities, forms, probes):
-    """int K(x_i, y) h(y) dS over panel p for each density h, by `strategy`.
+def _strategy_values(strategy, asm, rows, panels, densities, forms, probes):
+    """int K(x_i, y) h(y) dS by `strategy` for the pairs (rows[m],
+    panels[m]) and each density h: an array (pairs, densities).
 
-    For the pairs the flat closed forms cannot give.  The one-point
-    centroid rules weigh each density by its centroid value, which is
-    1/len(densities) for both density sets (three hats, or the unit).
+    For the pairs the flat closed forms cannot give.  QSA evaluates every
+    pair whose target is a panel vertex in one vectorized pass; the rare
+    rest take the general on-surface path one pair at a time.  The
+    one-point centroid rules weigh each density by its centroid value,
+    which is 1/len(densities) for both density sets (three hats, or the
+    unit); CentroidStar moves the centroid onto the surface by the probe
+    (one Newton projection per pair) or else onto the node's osculating
+    quadratic.
     """
-    x = asm.nodes[i]
-    n = asm.normals[i]
-    if strategy is SingularStrategy.Zero:
-        return np.zeros(len(densities))
+    out = np.zeros((len(rows), len(densities)))
+    if strategy is SingularStrategy.Zero or not len(rows):
+        return out
+    x = asm.nodes[rows]
+    n = asm.normals[rows]
     if strategy is SingularStrategy.QSA:
-        form = _node_form(forms, asm, i)
-        panel = Panel(*asm.verts[p])
-        target = Target(x, n)
-        return np.array([qsa_on_boundary(panel, target, form, h)
-                         for h in densities])
-    y = asm.centroids[p]
+        kmat, basis = _node_forms(forms, asm, rows)
+        verts = asm.verts[panels]
+        first = target_vertex(verts, x)
+        at = first >= 0
+        unit = n / np.linalg.norm(n, axis=1, keepdims=True)
+        out[at] = qsa_vertex_rows(verts[at], first[at], x[at], unit[at],
+                                  kmat[at], basis[at], densities)
+        for m in np.flatnonzero(~at):
+            form = FundamentalForm(kmat[m, 0, 0], kmat[m, 0, 1],
+                                   kmat[m, 1, 1], basis[m])
+            out[m] = [qsa_on_boundary(Panel(*verts[m]), Target(x[m], n[m]),
+                                      form, h) for h in densities]
+        return out
+    y = asm.centroids[panels]
     if strategy is SingularStrategy.CentroidStar:
-        probe = None if probes is None else probes[asm.mesh_of_node(i)]
-        if probe is not None:
-            y, _ = foot_point(probe, y)
-        else:
-            y = _patch_projection(x, n, _node_form(forms, asm, i), y)
-    k = kernel_k(x, n, y)
-    return np.full(len(densities), k * asm.areas[p] / len(densities))
+        meshes = asm.mesh_of_node(rows)
+        probed = np.array([probes is not None and probes[m] is not None
+                           for m in range(len(asm.meshes))])[meshes]
+        for m in np.flatnonzero(probed):
+            y[m], _ = foot_point(probes[meshes[m]], y[m])
+        if not probed.all():
+            kmat, basis = _node_forms(forms, asm, rows[~probed])
+            y[~probed] = _patch_projection(x[~probed], n[~probed], kmat,
+                                           basis, y[~probed])
+    k = kernel_k(x, n, y) * asm.areas[panels] / len(densities)
+    out[:] = k[:, None]
+    return out
 
 
 def _scatter(asm, vals):
@@ -289,16 +322,18 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
             and probes is None:
         raise DivergentIntegral(
             "CentroidStar needs a surface probe or fitted patch forms")
+    for mesh in asm.meshes:
+        require_closed_outward(mesh)
     n_nodes = len(asm.nodes)
     matrix = np.zeros((n_nodes, n_nodes))
     for start, stop, vals, pending in _pair_blocks(
             asm, asm.nodes, asm.normals, _HATS, asm.incident):
-        for j, p in zip(*np.nonzero(pending)):
-            vals[j, p] = _strategy_values(strategy, asm, start + j, p,
-                                          _HATS, forms, probes)
+        js, ps = np.nonzero(pending)
+        vals[js, ps] = _strategy_values(strategy, asm, start + js, ps,
+                                        _HATS, forms, probes)
         matrix[start:stop] = _scatter(asm, vals)
-    for i in range(n_nodes):
-        matrix[i, i] += -0.5 if asm.mesh_of_node(i) == 0 else 0.5
+    jump = np.where(asm.mesh_of_node(np.arange(n_nodes)) == 0, -0.5, 0.5)
+    matrix[np.diag_indices(n_nodes)] += jump
     rhs = np.zeros(n_nodes)
     if neumann_bc is not None:
         head = len(asm.meshes[0].nodes)
@@ -363,11 +398,10 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
     if forms is None:
         forms = sphere_forms(mesh)
     asm = _Assembly(mesh, [nrm])
-    totals = base.copy()
-    for i, panels in enumerate(pending):
-        for p in panels:
-            totals[i] += _strategy_values(strategy, asm, i, p, _UNIT,
-                                          [forms], None)[0]
+    rows = np.repeat(np.arange(len(pending)), [len(p) for p in pending])
+    panels = np.array([p for row in pending for p in row], dtype=int)
+    vals = _strategy_values(strategy, asm, rows, panels, _UNIT, [forms], None)
+    totals = base + np.bincount(rows, vals[:, 0], minlength=len(base))
     errors = np.abs(totals - 0.5) / 0.5
     return float(errors.max()), errors
 
@@ -387,8 +421,7 @@ def solve(system: BemSystem, regularization=Regularization.PinNode):
     if regularization is Regularization.MeanZero:
         weights = np.concatenate([nodal_areas(m) for m in system.meshes])
     else:
-        gmat = single_layer_matrix(system.meshes)
-        weights = gmat.mean(axis=0)
+        weights = _single_layer_column_means(system.meshes)
     scale = np.abs(weights).sum() / n
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = a
@@ -409,6 +442,16 @@ def single_layer_matrix(meshes):
     for start, stop, vals, _ in _pair_blocks(asm, asm.nodes, None, _HATS):
         out[start:stop] = _scatter(asm, vals)
     return out
+
+
+def _single_layer_column_means(meshes):
+    """Column means of single_layer_matrix, without building it."""
+    asm = _Assembly(meshes)
+    colsum = np.zeros(len(asm.nodes))
+    for _, _, vals, _ in _pair_blocks(asm, asm.nodes, None, _HATS):
+        colsum += np.bincount(asm.tris.ravel(), weights=vals.sum(axis=0).ravel(),
+                              minlength=len(asm.nodes))
+    return colsum / len(asm.nodes)
 
 
 def _layer_values(asm, gamma, points, normals):

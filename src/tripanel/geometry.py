@@ -21,8 +21,14 @@ from .errors import DegenerateTriangle
 _MERGE_RTOL = 1e-12  # radii closer than this (times scale) are merged
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _cross2(u, v):
+    """z-component of the planar cross product, elementwise over leading axes.
+
+    Indexing the transposes keeps single 2-vectors on numpy's scalar
+    arithmetic (u[..., 0] would make 0-d arrays, several times slower).
+    """
+    u, v = u.T, v.T
+    return (u[0] * v[1] - u[1] * v[0]).T
 
 
 def _unit(v):
@@ -103,7 +109,7 @@ def orient_planar(p1, p2, p3) -> "PlanarTriangle":
     deterministic for symmetric inputs.
     """
     pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
-    cross = _cross2(pts[1] - pts[0], pts[2] - pts[0])
+    cross = float(_cross2(pts[1] - pts[0], pts[2] - pts[0]))
     scale = max(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(pts[2] - pts[0]), 1e-300)
     if abs(cross) <= 1e-14 * scale * scale:
         raise DegenerateTriangle("planar triangle has (numerically) zero area")
@@ -151,7 +157,7 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
     # the foot is perpendicular to the edge: foot = q * perp(e)/l with
     # q = cross(e, a)/l, which keeps d and phi stable even when the edge
     # line passes very close to the origin (a + t_f*e would cancel there)
-    q = _cross2(e, a) / l
+    q = float(_cross2(e, a)) / l
     d = abs(q)
     foot = (q / l) * np.array([-e[1], e[0]])
     if d <= 1e-14 * max(norm_a, norm_b):
@@ -189,7 +195,7 @@ class PlanarTriangle:
         self.verts = np.asarray(verts, dtype=float).reshape(3, 2)
         e1 = self.verts[1] - self.verts[0]
         e2 = self.verts[2] - self.verts[0]
-        self.area = 0.5 * _cross2(e1, e2)
+        self.area = 0.5 * float(_cross2(e1, e2))
         if self.area <= 0.0:
             raise DegenerateTriangle("planar triangle must be positively oriented; "
                                      "build it with orient_planar")
@@ -264,7 +270,7 @@ def point_in_triangle(p, tri, tol: float = 1e-12) -> bool:
     scale = max(float(np.max(np.abs(verts))), 1.0)
     for i in range(3):
         a, b = verts[i], verts[(i + 1) % 3]
-        if _cross2(b - a, p - a) < -tol * scale * scale:
+        if float(_cross2(b - a, p - a)) < -tol * scale * scale:
             return False
     return True
 

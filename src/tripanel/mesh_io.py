@@ -286,3 +286,20 @@ def signed_volume(mesh: SurfaceMesh) -> float:
     """Enclosed volume by the divergence theorem; positive for outward orientation."""
     pts = mesh.nodes[mesh.triangles]
     return float(np.einsum("ij,ij->i", pts[:, 0], np.cross(pts[:, 1], pts[:, 2])).sum() / 6.0)
+
+
+def require_closed_outward(mesh: SurfaceMesh) -> None:
+    """Raise MeshError unless the mesh is closed and oriented outward.
+
+    Closed: every undirected edge bounds exactly two triangles, traversed
+    once in each direction.  Outward: positive signed volume.
+    """
+    n = mesh.n_nodes
+    heads = mesh.triangles.ravel()
+    tails = mesh.triangles[:, [1, 2, 0]].ravel()
+    edges = np.unique(heads * n + tails)
+    if len(edges) < len(heads) or not np.isin(tails * n + heads, edges).all():
+        raise MeshError("mesh is not closed and consistently oriented: every "
+                        "edge must bound two triangles, once in each direction")
+    if signed_volume(mesh) <= 0.0:
+        raise MeshError("mesh is oriented inward (signed volume <= 0)")

@@ -8,9 +8,13 @@ surface locally by its osculating quadratic graph f = 1/2 sum K_ij s_i s_j
 numerator and leaves integrals that are closed-form over the projected
 triangle, with O(eps^2) error in the patch radius eps.
 
-Three entry points: the general on-surface case, a faster single-segment
-path when the target is a panel vertex, and the off-surface case with the
-target at signed height c above the foot point.
+Three entry points: the general on-surface case (polar decomposition of
+the projected triangle), the single-segment path for targets at a panel
+vertex, and the off-surface case with the target at signed height c above
+the foot point.  The vertex path is written once, on arrays
+(`qsa_vertex_rows`): the BEM operators evaluate every incident pair in one
+call, and `qsa_vertex` and the vertex branch of `qsa_on_boundary` are
+one-row calls of it.
 """
 
 import math
@@ -18,11 +22,12 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
-from .geometry import Panel, decompose_polar, orient_planar, rotation_to_z
+from .geometry import Panel, _cross2, decompose_polar, orient_planar, rotation_to_z
 from .panel_integrals import FOUR_PI, PanelPolynomial, compute_k_moments
 from .curvature import FundamentalForm, estimate_fundamental_form, estimate_normals
 
 _VERTEX_TOL = 1e-12
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic vertex shifts
 
 
 def _require_linear(p: PanelPolynomial) -> PanelPolynomial:
@@ -59,15 +64,14 @@ def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
     p = _require_linear(p if p is not None else PanelPolynomial.constant(1.0))
     if target.n is None:
         raise ValueError("on-surface integration needs the outward normal at x")
+    verts = panel.verts
+    x = np.asarray(target.x, dtype=float)
     if use_vertex_path:
-        tol = _VERTEX_TOL * max(panel.diameter, 1e-300)
-        dist = np.linalg.norm(panel.verts - np.asarray(target.x, dtype=float), axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] <= tol:
-            rolled_panel, rolled_p = _rolled(panel, p, k)
-            return qsa_vertex(rolled_panel, target, form, rolled_p)
+        first = int(target_vertex(verts[None], x[None])[0])
+        if first >= 0:
+            return _vertex_one(verts, x, target.n, form, p, first)
     rot = rotation_to_z(np.asarray(target.n, dtype=float))
-    proj = (panel.verts - np.asarray(target.x, dtype=float)) @ rot.T
+    proj = (verts - x) @ rot.T
     proj = proj[:, :2]
     tri = orient_planar(proj[0], proj[1], proj[2])
     dec = decompose_polar(tri)
@@ -80,106 +84,154 @@ def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
     return sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
 
 
-def _rolled(panel: Panel, p: PanelPolynomial, k: int):
-    """Cyclically relabel vertices so vertex k comes first."""
-    if k == 0:
-        return panel, p
-    order = [(k + i) % 3 for i in range(3)]
-    return (Panel(*panel.verts[order]),
-            PanelPolynomial(p.form[np.ix_(order, order)], degree=p.degree))
+def target_vertex(verts, x):
+    """Index of the panel vertex each target sits on, else -1.
+
+    verts (R, 3, 3), x (R, 3); a target sits on a vertex within
+    1e-12 times the panel diameter.
+    """
+    dist2 = ((verts - x[:, None, :]) ** 2).sum(axis=2)
+    diam2 = ((verts - verts[:, _NEXT]) ** 2).sum(axis=2).max(axis=1)
+    first = dist2.argmin(axis=1)
+    near = dist2[np.arange(len(first)), first] <= _VERTEX_TOL ** 2 * diam2
+    return np.where(near, first, -1)
 
 
-def angular_primitive(a: int, b: int, theta: float, theta2: float) -> float:
+def _angular_primitives(theta, theta2):
+    """Antiderivatives of cos^a(t) sin^b(t) / sin^(a+b-1)(t + theta2) at
+    t = theta, for the seven (a, b) pairs with a + b = 2 or 3; elementwise
+    over arrays.  theta2 is the triangle's angle at the second vertex, in
+    (0, pi)."""
+    s2, c2 = np.sin(theta2), np.cos(theta2)
+    s3, c3 = np.sin(3.0 * theta2), np.cos(3.0 * theta2)
+    u = theta - theta2
+    su, cu = np.sin(u), np.cos(u)
+    lt = np.log(np.tan(0.5 * (theta + theta2)))
+    at = np.arctanh(c2 - s2 * np.tan(0.5 * theta))
+    csc = 1.0 / np.sin(theta + theta2)
+    return {
+        (1, 1): su - s2 * c2 * lt,
+        (2, 0): cu + c2 * c2 * lt,
+        (0, 2): s2 * s2 * lt - cu,
+        (2, 1): 0.25 * (csc * (2.0 * np.sin(u + theta) + s2 + 3.0 * s3)
+                        - 2.0 * (c2 + 3.0 * c3) * at),
+        (1, 2): -0.25 * (csc * (2.0 * np.cos(u + theta) + c2 - 3.0 * c3)
+                         + 2.0 * (s2 - 3.0 * s3) * at),
+        (3, 0): -np.sin(u - theta2) - (6.0 * c2 * c2 * s2 * at + c2 ** 3 * csc),
+        (0, 3): s2 ** 3 * csc - np.cos(u - theta2) - 6.0 * c2 * s2 * s2 * at,
+    }
+
+
+def angular_primitive(a: int, b: int, theta, theta2):
     """Antiderivative of cos^a(t) sin^b(t) / sin^(a+b-1)(t + theta2) at t = theta.
 
     The seven (a, b) pairs cover quadratic-times-linear numerators; theta2
     is the triangle's angle at the second vertex, in (0, pi).
     """
-    s2, c2 = math.sin(theta2), math.cos(theta2)
-    if a + b == 2:
-        lt = math.log(math.tan(0.5 * (theta + theta2)))
-        if (a, b) == (1, 1):
-            return math.sin(theta - theta2) - 0.5 * math.sin(2.0 * theta2) * lt
-        if (a, b) == (2, 0):
-            return math.cos(theta - theta2) + c2 * c2 * lt
-        if (a, b) == (0, 2):
-            return -math.cos(theta - theta2) + s2 * s2 * lt
-    elif a + b == 3:
-        at = math.atanh(c2 - s2 * math.tan(0.5 * theta))
-        csc = 1.0 / math.sin(theta + theta2)
-        if (a, b) == (2, 1):
-            return 0.25 * (-2.0 * (c2 + 3.0 * math.cos(3.0 * theta2)) * at
-                           + csc * (2.0 * math.sin(2.0 * theta - theta2)
-                                    + s2 + 3.0 * math.sin(3.0 * theta2)))
-        if (a, b) == (1, 2):
-            return 0.25 * (-2.0 * (s2 - 3.0 * math.sin(3.0 * theta2)) * at
-                           - csc * (2.0 * math.cos(2.0 * theta - theta2)
-                                    + c2 - 3.0 * math.cos(3.0 * theta2)))
-        if (a, b) == (3, 0):
-            return (-math.sin(theta - 2.0 * theta2)
-                    - 6.0 * c2 * c2 * s2 * at - c2 ** 3 * csc)
-        if (a, b) == (0, 3):
-            return (-math.cos(theta - 2.0 * theta2)
-                    - 6.0 * c2 * s2 * s2 * at + s2 ** 3 * csc)
-    raise ValueError(f"no angular primitive for (a, b) = ({a}, {b})")
+    prims = _angular_primitives(theta, theta2)
+    if (a, b) not in prims:
+        raise ValueError(f"no angular primitive for (a, b) = ({a}, {b})")
+    return prims[(a, b)]
+
+
+def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
+    """On-surface integrals of K(x, y) h(y) with each target at a panel
+    vertex, for many rows in one pass.
+
+    Row r: the target x[r] with unit normal n[r] sits at vertex first[r]
+    of the panel verts[r] (3, 3); kmat[r] (2, 2) is the second
+    fundamental form at x[r] in the tangent basis basis[r] (2, 3).  The
+    densities are PanelPolynomials of degree <= 1 in the panel's vertex
+    order.  Returns (R, len(densities)).
+
+    An in-plane spin puts the projected next vertex on the positive
+    s1-axis (mirrored so the third vertex lies above it), making theta a
+    single segment [0, theta_end] with r(theta) = |pV2| sin(theta2) /
+    sin(theta + theta2) closed-form.  A row with a zero-length angular
+    interval is exactly 0; any degenerate row raises DegenerateTriangle.
+    """
+    forms = np.array([_require_linear(h).form for h in densities])
+    slope = np.array([2.0 if h.degree > 0 else 0.0 for h in densities])
+    rows = np.arange(len(verts))
+    nxt, far = (first + 1) % 3, (first + 2) % 3
+    rel = verts - x[:, None, :]
+    # spun frame: b1 along the projected next vertex, b2 = n x b1, then
+    # mirrored so the third vertex lands at s2 >= 0
+    d2 = rel[rows, nxt]
+    t2 = d2 - np.einsum("rk,rk->r", d2, n)[:, None] * n
+    len2 = np.sqrt(np.einsum("rk,rk->r", t2, t2))
+    if (len2 == 0.0).any():
+        raise DegenerateTriangle("projected second vertex coincides with the target")
+    b1 = t2 / len2[:, None]
+    spun = np.stack([b1, n[:, _NEXT] * b1[:, _PREV] - n[:, _PREV] * b1[:, _NEXT]],
+                    axis=2)
+    q = rel @ spun                               # planar vertices (R, 3, 2)
+    mirror = np.where(q[rows, far, 1] < 0.0, -1.0, 1.0)[:, None]
+    q[..., 1] *= mirror
+    spun[..., 1] *= mirror
+    q2, q3 = q[rows, nxt], q[rows, far]
+    theta_end = np.arctan2(q3[:, 1], q3[:, 0])
+    live = theta_end != 0.0
+    if (live & ((theta_end < 0.0) | (theta_end >= math.pi))).any():
+        raise DegenerateTriangle("projected triangle has no interior angle at the target")
+    if not live.all():
+        out = np.zeros((len(verts), len(densities)))
+        if live.any():
+            out[live] = qsa_vertex_rows(verts[live], first[live], x[live], n[live],
+                                        kmat[live], basis[live], densities)
+        return out
+    edge = q3 - q2
+    theta2 = np.arctan2(np.abs(_cross2(q2, edge)), -np.einsum("rb,rb->r", q2, edge))
+    if ((theta2 <= 0.0) | (theta2 >= math.pi)).any():
+        raise DegenerateTriangle("projected triangle is degenerate at the second vertex")
+    # affine density coefficients: lam_i(s) = (z_i - s1 e_i2 + s2 e_i1) / det
+    # with e_i the edge opposite vertex i and z_i = cross(q_i+1, q_i+2)
+    nq, pq = q[:, _NEXT], q[:, _PREV]
+    z = _cross2(nq, pq)
+    e = pq - nq
+    lam = np.stack([-e[..., 1], e[..., 0], z], axis=1) / z.sum(axis=1)[:, None, None]
+    cp = np.einsum("rai,dij,rj->rda", lam, forms, lam[:, 2])
+    p00, p10, p01 = cp[..., 2], slope * cp[..., 0], slope * cp[..., 1]
+    # the form in the spun basis
+    m = basis @ spun
+    km = m.transpose(0, 2, 1) @ kmat @ m
+    k11, k12, k22 = km[:, 0, 0], 0.5 * (km[:, 0, 1] + km[:, 1, 0]), km[:, 1, 1]
+    # primitives at theta_end and at 0, as one flat array
+    ends = _angular_primitives(np.concatenate([theta_end, 0.0 * theta_end]),
+                               np.concatenate([theta2, theta2]))
+    prim = {ab: f[:len(rows)] - f[len(rows):] for ab, f in ends.items()}
+    scale = len2 * np.sin(theta2)
+    # (-1/2 sum K_ij s_i s_j) p(s) = sum of s1^a s2^b terms; each term
+    # integrates to scale^(a+b-1) / (a+b-1) times its angular primitive
+    quad = -scale * (0.5 * k11 * prim[(2, 0)] + k12 * prim[(1, 1)]
+                     + 0.5 * k22 * prim[(0, 2)])
+    lin1 = -0.5 * scale ** 2 * (0.5 * k11 * prim[(3, 0)] + k12 * prim[(2, 1)]
+                                + 0.5 * k22 * prim[(1, 2)])
+    lin2 = -0.5 * scale ** 2 * (0.5 * k11 * prim[(2, 1)] + k12 * prim[(1, 2)]
+                                + 0.5 * k22 * prim[(0, 3)])
+    return (quad[:, None] * p00 + lin1[:, None] * p10
+            + lin2[:, None] * p01) / FOUR_PI
+
+
+def _vertex_one(verts, x, n, form, p, first):
+    out = qsa_vertex_rows(verts[None], np.array([first]), x[None],
+                          np.asarray(n, dtype=float)[None], form.matrix[None],
+                          np.asarray(form.basis, dtype=float)[None], [p])
+    return float(out[0, 0])
 
 
 def qsa_vertex(panel: Panel, target, form: FundamentalForm,
                p: PanelPolynomial | None = None) -> float:
-    """On-surface integral with the target at the panel's first vertex.
-
-    An extra in-plane rotation puts the projected second vertex on the
-    positive s1-axis, making theta a single segment [0, theta_end] with
-    r(theta) = |pV2| sin(theta2) / sin(theta + theta2) closed-form.
-    """
+    """On-surface integral with the target at the panel's first vertex:
+    one row of qsa_vertex_rows."""
     p = _require_linear(p if p is not None else PanelPolynomial.constant(1.0))
     if target.n is None:
         raise ValueError("on-surface integration needs the outward normal at x")
+    verts = panel.verts
     x = np.asarray(target.x, dtype=float)
-    if np.linalg.norm(panel.verts[0] - x) > _VERTEX_TOL * max(panel.diameter, 1e-300):
+    if np.linalg.norm(verts[0] - x) > _VERTEX_TOL * max(panel.diameter, 1e-300):
         raise ValueError("vertex path requires the target at the first vertex")
-    rot = rotation_to_z(np.asarray(target.n, dtype=float))
-    proj = ((panel.verts - x) @ rot.T)[:, :2]
-    p2, p3 = proj[1], proj[2]
-    len2 = math.hypot(p2[0], p2[1])
-    if len2 == 0.0:
-        raise DegenerateTriangle("projected second vertex coincides with the target")
-    # rotate pV2 onto the positive s1-axis; mirror if pV3 lands below it
-    ca, sa = p2[0] / len2, p2[1] / len2
-    spin = np.array([[ca, sa], [-sa, ca]])
-    q2 = spin @ p2
-    q3 = spin @ p3
-    flip = q3[1] < 0.0
-    if flip:
-        q3 = q3 * np.array([1.0, -1.0])
-    theta_end = math.atan2(q3[1], q3[0])
-    if theta_end == 0.0:
-        return 0.0  # zero-length angular interval
-    if theta_end < 0.0 or theta_end >= math.pi:
-        raise DegenerateTriangle("projected triangle has no interior angle at the target")
-    edge = q3 - q2
-    theta2 = math.atan2(abs(q2[0] * edge[1] - q2[1] * edge[0]),
-                        -(q2 @ edge))
-    if theta2 <= 0.0 or theta2 >= math.pi or math.sin(theta2) == 0.0:
-        raise DegenerateTriangle("projected triangle is degenerate at the second vertex")
-    # numerator coefficients in the spun (and possibly mirrored) coordinates
-    qpts = proj @ spin.T
-    if flip:
-        qpts = qpts * np.array([1.0, -1.0])
-    basis = np.array([ca * rot[0] + sa * rot[1], -sa * rot[0] + ca * rot[1]])
-    if flip:
-        basis = basis * np.array([[1.0], [-1.0]])
-    kmat = form.express_in(basis).matrix
-    coef = _curvature_coeffs(kmat, p.monomial_coeffs(qpts))
-    total = 0.0
-    scale = len2 * math.sin(theta2)
-    for (a, b), w in coef.items():
-        if w == 0.0:
-            continue
-        prim = (angular_primitive(a, b, theta_end, theta2)
-                - angular_primitive(a, b, 0.0, theta2))
-        total += w * scale ** (a + b - 1) / (a + b - 1) * prim
-    return total / FOUR_PI
+    return _vertex_one(verts, x, target.n, form, p, 0)
 
 
 def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,

@@ -15,6 +15,7 @@ from tripanel.bem import (
     kernel_k,
     nodal_areas,
     potential_gradient,
+    single_layer_matrix,
     solve,
     sphere_forms,
     sphere_identity_test,
@@ -22,8 +23,8 @@ from tripanel.bem import (
     torus_flux_diagnostic,
     torus_in_sphere_problem,
 )
-from tripanel.curvature import estimate_normals
-from tripanel.errors import ConvergenceFailure, DivergentIntegral
+from tripanel.curvature import estimate_normals, sphere_probe
+from tripanel.errors import ConvergenceFailure, DivergentIntegral, MeshError
 from tripanel.geometry import Panel, Target
 from tripanel.mesh_io import (
     SurfaceMesh,
@@ -33,6 +34,10 @@ from tripanel.mesh_io import (
 )
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_triangle
 from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
+from tripanel.qsa import foot_point, qsa_on_boundary
+
+
+HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 
 
 def unit_normals(mesh):
@@ -59,7 +64,7 @@ def test_zero_strategy_tetrahedron_rows_exact():
     # Zero-strategy row is exactly that face's hat integrals plus the jump
     nodes = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                       [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
-    tris = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
     mesh = SurfaceMesh(nodes, tris)
     normals = unit_normals(mesh)
     system = assemble([mesh], SingularStrategy.Zero, normals=[normals])
@@ -289,3 +294,65 @@ def test_export_solution_roundtrip(tmp_path):
     assert len(doc["nodes"]) == mesh.n_nodes
     assert doc["gamma"][3] == 3.0
     assert doc["u"] == [1.5]
+
+
+def _star_by_form(x, n, form, y):
+    """Centroid y lifted onto the osculating quadratic at x, one pair."""
+    s1, s2 = form.basis @ (y - x)
+    h = 0.5 * (form.k11 * s1 * s1 + 2.0 * form.k12 * s1 * s2 + form.k22 * s2 * s2)
+    return x + s1 * form.basis[0] + s2 * form.basis[1] + h * n
+
+
+@pytest.mark.parametrize("strategy, probe", [
+    (SingularStrategy.QSA, None),
+    (SingularStrategy.Centroid, None),
+    (SingularStrategy.CentroidStar, None),
+    (SingularStrategy.CentroidStar, sphere_probe(1.0)),
+], ids=["qsa", "centroid", "centroid_star_forms", "centroid_star_probe"])
+def test_singular_strategies_match_per_pair_calls(strategy, probe):
+    # the incident entries minus the Zero assembly, against one call per
+    # pair: qsa_on_boundary per hat, or kernel_k at the (projected)
+    # centroid with one third to each hat
+    mesh = generate_sphere_mesh(2)
+    normals = unit_normals(mesh)
+    forms = sphere_forms(mesh)
+    probes = None if probe is None else [probe]
+    got = (assemble([mesh], strategy, [forms], normals=[normals], probes=probes).matrix
+           - assemble([mesh], SingularStrategy.Zero, normals=[normals]).matrix)
+    want = np.zeros_like(got)
+    for tri in mesh.triangles:
+        panel = Panel(*mesh.nodes[tri])
+        for i in tri:
+            if strategy is SingularStrategy.QSA:
+                target = Target(mesh.nodes[i], normals[i])
+                want[i, tri] += [qsa_on_boundary(panel, target, forms[i], hat)
+                                 for hat in HATS]
+                continue
+            y = panel.centroid
+            if probe is not None:
+                y, _ = foot_point(probe, y)
+            elif strategy is SingularStrategy.CentroidStar:
+                y = _star_by_form(mesh.nodes[i], normals[i], forms[i], y)
+            want[i, tri] += kernel_k(mesh.nodes[i], normals[i], y) * panel.area / 3.0
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.abs(got - want).max(axis=1).max() <= 1e-13 * scale.min()
+
+
+def test_assemble_rejects_open_or_inward_meshes():
+    sphere = generate_sphere_mesh(1)
+    torus = generate_torus_mesh(0.4, 0.2, 12, 6)
+    flipped = SurfaceMesh(torus.nodes, torus.triangles[:, ::-1])
+    with pytest.raises(MeshError, match="inward"):
+        assemble([sphere, flipped], SingularStrategy.Zero)
+    holed = SurfaceMesh(sphere.nodes, sphere.triangles[1:])
+    with pytest.raises(MeshError, match="closed"):
+        assemble([holed], SingularStrategy.Zero, normals=[unit_normals(holed)])
+
+
+def test_pin_node_gauge_is_the_single_layer_column_mean():
+    mesh, system = sphere_neumann_problem(subdivisions=1)
+    gamma = solve(system, Regularization.PinNode)
+    weights = single_layer_matrix([mesh]).mean(axis=0)
+    assert abs(weights @ gamma) <= 1e-12 * np.abs(weights).sum() * np.abs(gamma).max()
+    resid = np.linalg.norm(system.matrix @ gamma - system.rhs)
+    assert resid <= 1e-10 * np.linalg.norm(system.rhs)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tripanel.bem import probe_forms, sphere_forms, torus_in_sphere_problem
 from tripanel.curvature import FundamentalForm, sphere_probe, torus_probe
-from tripanel.errors import ConvergenceFailure, DivergentIntegral
+from tripanel.errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
 from tripanel.geometry import Panel, Target, rotation_to_z
 from tripanel.mesh_io import generate_sphere_mesh
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_patch, sphere_patch_chart
@@ -18,6 +19,7 @@ from tripanel.qsa import (
     qsa_off_boundary,
     qsa_on_boundary,
     qsa_vertex,
+    qsa_vertex_rows,
 )
 
 PAIRS = ((1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3))
@@ -328,3 +330,83 @@ def test_foot_point_mesh():
     foot, c = foot_point(mesh, x)
     assert abs(np.linalg.norm(foot) - 1.0) < 5e-3
     assert abs(c - 0.2) < 1e-2
+
+
+DENSITIES = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)] \
+    + [PanelPolynomial.constant(1.0)]
+
+
+def _incident_rows(nodes, tris, normals, forms):
+    """Every (node, incident panel) pair as qsa_vertex_rows arguments."""
+    pairs = [(i, p) for p, tri in enumerate(tris) for i in tri]
+    rows = np.array([i for i, _ in pairs])
+    panels = np.array([p for _, p in pairs])
+    first = np.array([list(tris[p]).index(i) for i, p in pairs])
+    kmat = np.array([forms[i].matrix for i in rows])
+    basis = np.array([forms[i].basis for i in rows])
+    return (nodes[tris[panels]], first, nodes[rows], normals[rows], kmat,
+            basis), rows
+
+
+@pytest.mark.parametrize("case", ["ico2", "torus"])
+def test_vertex_rows_match_one_row_calls(case):
+    if case == "ico2":
+        mesh = generate_sphere_mesh(2)
+        nodes, tris = mesh.nodes, mesh.triangles
+        normals = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+        forms = sphere_forms(mesh, radius=1.0)
+    else:
+        meshes, _, probes = torus_in_sphere_problem(2, 24, 12)
+        sphere, torus = meshes
+        nodes = np.concatenate([sphere.nodes, torus.nodes])
+        tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
+        t_norm = np.array([probes[1].gradient(x) for x in torus.nodes])
+        normals = np.concatenate([sphere.nodes, t_norm])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        forms = (sphere_forms(sphere, radius=1.0)
+                 + probe_forms(probes[1], torus.nodes, normals[sphere.n_nodes:]))
+    args, rows = _incident_rows(nodes, tris, normals, forms)
+    batched = qsa_vertex_rows(*args, DENSITIES)
+    verts, first, x, n = args[:4]
+    for m in range(len(rows)):
+        # the one-row reference relabels the panel so the target is first
+        order = (first[m] + np.arange(3)) % 3
+        panel, target, form = Panel(*verts[m][order]), Target(x[m], n[m]), forms[rows[m]]
+        single = np.array([qsa_vertex(panel, target, form,
+                                      PanelPolynomial(h.form[np.ix_(order, order)], h.degree))
+                           for h in DENSITIES])
+        assert np.abs(batched[m] - single).max() <= 1e-13 * np.abs(single).max()
+
+
+def test_vertex_rows_zero_interval_and_degenerate_rows():
+    rng = np.random.default_rng(41)
+    good = [sphere_panel(rng, 0.2) for _ in range(2)]
+    # projected third vertex on the positive s1-axis beyond the second
+    flat = Panel(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 1.0]))
+    panels = [good[0], flat, good[1]]
+    normals = np.array([good[0].v1, [0.0, 0.0, 1.0], good[1].v1])
+    forms = [sphere_form(good[0].v1), FundamentalForm(-1.0, 0.0, -1.0, np.eye(3)[:2]),
+             sphere_form(good[1].v1)]
+
+    def rows(panels, normals, forms):
+        verts = np.array([p.verts for p in panels])
+        return (verts, np.zeros(len(panels), dtype=int), verts[:, 0], normals,
+                np.array([f.matrix for f in forms]), np.array([f.basis for f in forms]))
+
+    out = qsa_vertex_rows(*rows(panels, normals, forms), DENSITIES)
+    assert np.all(out[1] == 0.0)
+    for m in (0, 2):
+        target = Target(panels[m].v1, normals[m])
+        single = [qsa_vertex(panels[m], target, forms[m], h) for h in DENSITIES]
+        assert np.all(out[m] != 0.0)
+        assert np.abs(out[m] - single).max() <= 1e-13 * np.abs(single).max()
+    # projected third vertex on the negative s1-axis: no interior angle
+    behind = Panel(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.5]))
+    with pytest.raises(DegenerateTriangle):
+        qsa_vertex_rows(*rows(panels + [behind], np.vstack([normals, [0.0, 0.0, 1.0]]),
+                              forms + [forms[1]]), DENSITIES)
+    # second vertex straight above the target along its normal
+    above = Panel(np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DegenerateTriangle):
+        qsa_vertex_rows(*rows([above] + panels, np.vstack([[0.0, 0.0, 1.0], normals]),
+                              [forms[1]] + forms), DENSITIES)
