@@ -36,22 +36,10 @@ import numpy as np
 
 from .geometry import _cross2
 from .panel_integrals import FOUR_PI
+from .radial_kernels import _atan_ratio
 
-_SERIES_TOL = 1e-6    # arctan(c q)/c switches to its odd series below this
 _HEIGHT_TOL = 1e-12   # |c| below this times the pair scale -> caller fallback
 _TINY = 1e-300
-
-
-def _atan_ratio(c, x):
-    """arctan(c*x)/c elementwise for c >= 0 arrays, continuous at c = 0."""
-    t = c * x
-    small = np.abs(t) < _SERIES_TOL
-    t2 = np.where(small, t * t, 0.0)
-    series = x * (1.0 - t2 / 3.0 + t2 * t2 / 5.0 - t2 * t2 * t2 / 7.0)
-    safe = np.where(small, 1.0, c)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        exact = np.arctan(np.where(small, 0.0, t)) / safe
-    return np.where(small, series, exact)
 
 
 def tangent_frames(normals):

@@ -20,7 +20,8 @@ of targets at a time.  Each pair takes one of three routes:
 
 1. batch: the vectorized flat closed forms of `batch`;
 2. scalar fallback: pairs the batch flags as ill-conditioned, redone by
-   the closed forms of `panel_integrals`;
+   the closed forms of `panel_integrals`, one call per pair for all of
+   its densities (one decomposition and one moment set);
 3. singular strategy: where the flat-panel integral diverges (incident
    panels, or a flagged pair whose scalar integral diverges), the
    curvature-corrected closed form (QSA), zero, or one-point quadrature
@@ -239,8 +240,7 @@ def _pair_blocks(asm, points, normals, densities, incident=None):
             i = start + j
             target = Target(points[i], None if normals is None else normals[i])
             try:
-                vals[j, p] = [integrate(Panel(*asm.verts[p]), target, h)
-                              for h in densities]
+                vals[j, p] = integrate(Panel(*asm.verts[p]), target, densities)
             except DivergentIntegral:
                 if incident is None:
                     raise
@@ -255,7 +255,7 @@ def _strategy_values(strategy, asm, rows, panels, densities, forms, probes):
 
     For the pairs the flat closed forms cannot give.  QSA evaluates every
     pair whose target is a panel vertex in one vectorized pass; the rare
-    rest take the general on-surface path one pair at a time.  The
+    rest take the general on-surface path, one call per pair.  The
     one-point centroid rules weigh each density by its centroid value,
     which is 1/len(densities) for both density sets (three hats, or the
     unit); CentroidStar moves the centroid onto the surface by the probe
@@ -278,8 +278,8 @@ def _strategy_values(strategy, asm, rows, panels, densities, forms, probes):
         for m in np.flatnonzero(~at):
             form = FundamentalForm(kmat[m, 0, 0], kmat[m, 0, 1],
                                    kmat[m, 1, 1], basis[m])
-            out[m] = [qsa_on_boundary(Panel(*verts[m]), Target(x[m], n[m]),
-                                      form, h) for h in densities]
+            out[m] = qsa_on_boundary(Panel(*verts[m]), Target(x[m], n[m]),
+                                     form, densities)
         return out
     y = asm.centroids[panels]
     if strategy is SingularStrategy.CentroidStar:

@@ -46,10 +46,10 @@ from .mesh_io import (
     load_mesh,
 )
 from .oracle import (
-    REFERENCE_TRIANGLE,
-    adaptive_triangle,
-    duffy_integrate,
-    sphere_patch_chart,
+    flat_panel_oracle,
+    smallest_angle_deg,
+    sphere_patch_oracle,
+    sphere_vertex_panels,
 )
 from .panel_integrals import PanelPolynomial, integrate_g_panel, integrate_k_panel
 from .qsa import qsa_on_boundary
@@ -105,72 +105,6 @@ def _poly_for(name: str, verts) -> PanelPolynomial | None:
     raise ValueError(f"unknown polynomial {name!r} (try 1, yx, yy)")
 
 
-def _smallest_angle_deg(verts) -> float:
-    v = np.asarray(verts, dtype=float)
-    out = math.inf
-    for i in range(3):
-        a = v[(i + 1) % 3] - v[i]
-        b = v[(i + 2) % 3] - v[i]
-        cosang = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        out = min(out, math.degrees(math.acos(max(-1.0, min(1.0, cosang)))))
-    return out
-
-
-def _flat_oracle(kernel, verts, x, n, p, rel_tol=1e-10):
-    """Adaptive quadrature over the flat panel, barycentric parametrization."""
-    verts = np.asarray(verts, dtype=float)
-    x = np.asarray(x, dtype=float)
-    jac = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
-
-    def f(uv):
-        lam = np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
-        y = lam @ verts
-        diff = x[None, :] - y
-        r = np.linalg.norm(diff, axis=1)
-        if kernel == "K":
-            vals = (diff @ n) / (4.0 * math.pi * r ** 3)
-        else:
-            vals = -1.0 / (4.0 * math.pi * r)
-        if p is not None:
-            vals = vals * p.evaluate(lam)
-        return vals * jac
-
-    res = adaptive_triangle(f, REFERENCE_TRIANGLE, rel_tol=rel_tol)
-    return res.value, res.converged
-
-
-def _patch_oracle(panel, x, n, p, n_duffy=96):
-    """K p over the unit-sphere patch above the panel, target at vertex 1.
-
-    The vertex 1/r singularity is absorbed by a Duffy transform about the
-    reference corner, so a fixed tensor rule converges spectrally.  For x
-    and y both on the unit sphere, (x - y) . x = |x - y|^2 / 2 exactly, so
-    K reduces to 1/(8 pi r); evaluating it that way avoids the cancellation
-    that otherwise caps the raw kernel near the target at ~1e-6 relative.
-    """
-    rot = rotation_to_z(n)
-    coeffs = None
-    if p is not None:
-        coeffs = p.monomial_coeffs(((panel.verts - x) @ rot.T)[:, :2])
-    chart = sphere_patch_chart(*panel.verts)
-
-    def f(uv):
-        y, jac = chart(uv)
-        diff = x - y
-        r = np.linalg.norm(diff, axis=1)
-        vals = 1.0 / (8.0 * math.pi * r)
-        if coeffs is not None:
-            s = (-diff @ rot.T)[:, :2]
-            poly = np.zeros(len(y))
-            for (a, b), w in coeffs.items():
-                if w != 0.0:
-                    poly += w * s[:, 0] ** a * s[:, 1] ** b
-            vals = vals * poly
-        return vals * jac
-
-    return duffy_integrate(f, REFERENCE_TRIANGLE, corner=0, n=n_duffy)
-
-
 # --------------------------------------------------------------- commands
 
 def cmd_tri_integrate(args) -> int:
@@ -199,7 +133,7 @@ def cmd_tri_integrate(args) -> int:
     doc = {"kernel": args.kernel, "method": args.method, "value": value,
            "seconds": elapsed}
     if args.method == "oracle":
-        want, _ = _flat_oracle(args.kernel, verts, x, n, p)
+        want, _ = flat_panel_oracle(args.kernel, verts, x, n, p)
         rel = abs(value - want) / max(abs(want), 1e-300)
         doc.update({"value_oracle": want, "rel_diff": rel})
         print(f"value={_fmt(value)} oracle={_fmt(want)} rel_diff={rel:.3e} "
@@ -242,12 +176,12 @@ def cmd_sweep_near_singular(args) -> int:
                     value = integrate_g_panel(panel, Target(x), p)
             except DivergentIntegral:
                 continue
-            want, ok = _flat_oracle(args.kernel, verts, x, n, p,
-                                    rel_tol=args.oracle_tol)
+            want, ok = flat_panel_oracle(args.kernel, verts, x, n, p,
+                                         rel_tol=args.oracle_tol)
             if ok:
                 break
         rel = abs(value - want) / max(abs(want), 1e-10 * panel.area)
-        rows.append((trial, float(panel.diameter), _smallest_angle_deg(verts),
+        rows.append((trial, float(panel.diameter), smallest_angle_deg(verts),
                      float(value), float(want), float(rel)))
     _write_csv(args.out, "sweep-near-singular",
                ["trial", "diameter", "smallest_angle", "value_method",
@@ -260,30 +194,14 @@ def cmd_sweep_near_singular(args) -> int:
 def cmd_sweep_singular(args) -> int:
     rows = []
     for trial, rng in enumerate(_spawned_rngs(args.seed, args.trials)):
-        diam = 10.0 ** rng.uniform(math.log10(args.diam_range[0]),
-                                   math.log10(args.diam_range[1]))
-        base = rng.standard_normal(3)
-        base /= np.linalg.norm(base)
-        t1, t2 = rotation_to_z(base)[:2]
-        while True:
-            angs = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2))
-            if not 0.4 <= angs[1] - angs[0] <= 2.0 * math.pi - 0.4:
-                continue
-            verts = [base]
-            for ang in angs:
-                tang = math.cos(ang) * t1 + math.sin(ang) * t2
-                rad = diam * rng.uniform(0.7, 1.0)
-                verts.append(math.cos(rad) * base + math.sin(rad) * tang)
-            panel = Panel(*verts)
-            if _smallest_angle_deg(panel.verts) >= args.min_angle:
-                break
+        panel, base, angle = next(sphere_vertex_panels(rng, args.diam_range,
+                                                       args.min_angle))
         p = _poly_for(args.poly, panel.verts)
         form = FundamentalForm(-1.0, 0.0, -1.0, rotation_to_z(base)[:2])
         value = qsa_on_boundary(panel, Target(base, base), form, p)
-        want = _patch_oracle(panel, base, base, p)
+        want = sphere_patch_oracle(panel, base, base, p)
         rel = abs(value - want) / max(abs(want), 1e-300)
-        rows.append((trial, float(panel.diameter),
-                     _smallest_angle_deg(panel.verts),
+        rows.append((trial, float(panel.diameter), angle,
                      float(value), float(want), float(rel)))
     diams = np.array([r[1] for r in rows])
     rels = np.array([r[5] for r in rows])

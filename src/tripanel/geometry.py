@@ -31,13 +31,6 @@ def _cross2(u, v):
     return (u[0] * v[1] - u[1] * v[0]).T
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / n
-
-
 class Panel:
     """Flat triangle in 3D with its geometric (right-hand) unit normal."""
 

@@ -11,14 +11,21 @@ area-apportioned share of the tolerance.
 
 Integrands must be vectorized: they receive an (n, 2) array of points and
 return an (n,) array of values.
+
+The CLI sweeps and the tests share the oracles built on these rules (flat
+panel, unit-sphere patch) and the singular sweep's random panels; nothing
+here imports the closed-form modules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from .geometry import Panel, rotation_to_z
 
 # Subdivision is forced next to a flagged singular corner for this many levels
 # before the regular acceptance test takes over.
@@ -250,3 +257,100 @@ def duffy_integrate(f, tri, corner: int = 0, n: int = 24) -> float:
     area2 = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
     vals = np.asarray(f(pts), dtype=float)
     return float(np.sum(wuv * uu.ravel() * vals) * area2)
+
+
+def flat_panel_oracle(kernel, verts, x, n=None, p=None, rel_tol=1e-10, abs_tol=1e-14):
+    """Adaptive quadrature of K p (kernel "K", target normal n) or G p
+    (kernel "G") over a flat 3D triangle; returns (value, converged).
+
+    Parametrizes by barycentric coordinates directly, so it shares no code
+    with the normalized-frame pipeline; p (None: the unit density) is
+    evaluated through its barycentric form.  The tolerances are
+    adaptive_triangle's, on the integral with its 1/(4 pi).
+    """
+    verts = np.asarray(verts, dtype=float)
+    x = np.asarray(x, dtype=float)
+    jac = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
+
+    def f(uv):
+        lam = np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
+        y = lam @ verts
+        diff = x[None, :] - y
+        r = np.linalg.norm(diff, axis=1)
+        vals = ((diff @ n) / (4.0 * math.pi * r ** 3) if kernel == "K"
+                else -1.0 / (4.0 * math.pi * r))
+        if p is not None:
+            vals = vals * p.evaluate(lam)
+        return vals * jac
+
+    res = adaptive_triangle(f, REFERENCE_TRIANGLE, rel_tol=rel_tol, abs_tol=abs_tol)
+    return res.value, res.converged
+
+
+def sphere_patch_oracle(panel, x, n, p=None, n_duffy=96):
+    """K p over the unit-sphere patch above the panel, target x at vertex 1
+    with normal n.
+
+    The vertex 1/r singularity is absorbed by a Duffy transform about the
+    reference corner, so a fixed tensor rule converges spectrally.  For x
+    and y both on the unit sphere, (x - y) . x = |x - y|^2 / 2 exactly, so
+    K reduces to 1/(8 pi r); evaluating it that way avoids the cancellation
+    that otherwise caps the raw kernel near the target at ~1e-6 relative.
+    """
+    rot = rotation_to_z(n)
+    coeffs = None if p is None else p.monomial_coeffs(((panel.verts - x) @ rot.T)[:, :2])
+    chart = sphere_patch_chart(*panel.verts)
+
+    def f(uv):
+        y, jac = chart(uv)
+        diff = x - y
+        r = np.linalg.norm(diff, axis=1)
+        vals = 1.0 / (8.0 * math.pi * r)
+        if coeffs is not None:
+            s = (-diff @ rot.T)[:, :2]
+            poly = np.zeros(len(y))
+            for (a, b), w in coeffs.items():
+                if w != 0.0:
+                    poly += w * s[:, 0] ** a * s[:, 1] ** b
+            vals = vals * poly
+        return vals * jac
+
+    return duffy_integrate(f, REFERENCE_TRIANGLE, corner=0, n=n_duffy)
+
+
+def smallest_angle_deg(verts) -> float:
+    """Smallest interior angle of a 3D triangle, in degrees."""
+    v = np.asarray(verts, dtype=float)
+    out = math.inf
+    for i in range(3):
+        a = v[(i + 1) % 3] - v[i]
+        b = v[(i + 2) % 3] - v[i]
+        cosang = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        out = min(out, math.degrees(math.acos(max(-1.0, min(1.0, cosang)))))
+    return out
+
+
+def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
+    """Random panels on the unit sphere with vertex 1 at a random point x,
+    diameter scale log-uniform in diam_range and no angle below min_angle
+    degrees; yields (panel, x, smallest angle) without end."""
+    lo, hi = (math.log10(d) for d in diam_range)
+    while True:
+        diam = 10.0 ** rng.uniform(lo, hi)
+        base = rng.standard_normal(3)
+        base /= np.linalg.norm(base)
+        t1, t2 = rotation_to_z(base)[:2]
+        while True:
+            angs = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2))
+            if not 0.4 <= angs[1] - angs[0] <= 2.0 * math.pi - 0.4:
+                continue
+            verts = [base]
+            for ang in angs:
+                tang = math.cos(ang) * t1 + math.sin(ang) * t2
+                rad = diam * rng.uniform(0.7, 1.0)
+                verts.append(math.cos(rad) * base + math.sin(rad) * tang)
+            panel = Panel(*verts)
+            angle = smallest_angle_deg(panel.verts)
+            if angle >= min_angle:
+                break
+        yield panel, base, angle

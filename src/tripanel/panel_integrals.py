@@ -15,7 +15,6 @@ exactly (up to roundoff) for flat triangular panels.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +28,13 @@ FOUR_PI = 4.0 * math.pi
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3))
 
-_K_FIELD = {(0, 0): "i0", (1, 0): "ix", (0, 1): "iy",
-            (2, 0): "ixx", (1, 1): "ixy", (0, 2): "iyy",
-            (3, 0): "ixxx", (2, 1): "ixxy", (1, 2): "ixyy", (0, 3): "iyyy"}
 
-
-@dataclass
-class MomentSet:
-    """Moments of 1/dist^3 (i*) and 1/dist (j*) against s1^a s2^b."""
-    i0: float = 0.0
-    ix: float = 0.0
-    iy: float = 0.0
-    ixx: float = 0.0
-    iyy: float = 0.0
-    ixy: float = 0.0
-    ixxx: float = 0.0
-    ixxy: float = 0.0
-    ixyy: float = 0.0
-    iyyy: float = 0.0
-    j0: float = 0.0
-    jx: float = 0.0
-    jy: float = 0.0
+class MomentSet(dict):
+    """Moments of 1/dist^3 against s1^a s2^b, keyed by (a, b); 0.0 for the
+    degrees not computed."""
 
     def k_moment(self, a: int, b: int) -> float:
-        return getattr(self, _K_FIELD[(a, b)])
+        return self[(a, b)]
 
 
 def _snap_height(c: float, dec: PolarDecomposition) -> float:
@@ -85,16 +67,16 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
         raise DivergentIntegral(
             "1/dist^3 moments below degree 2 diverge for a coplanar "
             "target on the triangle")
-    m = MomentSet()
+    m = MomentSet.fromkeys(MONOMIALS, 0.0)
     for slab in dec.slabs:
         r0, r1 = slab.r_lo, slab.r_hi
         if slab.full_circle:
             if min_degree == 0:
-                m.i0 += 2.0 * math.pi * _d(RadialKind.R1, r0, r1, c)
+                m[0, 0] += 2.0 * math.pi * _d(RadialKind.R1, r0, r1, c)
             if max_degree >= 2 and min_degree <= 2:
                 half = math.pi * _d(RadialKind.R4, r0, r1, c)
-                m.ixx += half
-                m.iyy += half
+                m[2, 0] += half
+                m[0, 2] += half
             # odd angular moments vanish over the full circle
             continue
         # the bare R1 integral diverges at c = 0 from r = 0; every use
@@ -104,16 +86,16 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
         dJ1 = _d(RadialKind.J1, r0, r1, c) if max_degree >= 3 else 0.0
         for seg in slab.segments:
             if min_degree == 0:
-                m.i0 += seg.dphi * dR1
+                m[0, 0] += seg.dphi * dR1
             if max_degree >= 2 and min_degree <= 2:
-                m.ixx += 0.5 * seg.dphi * dR4
-                m.iyy += 0.5 * seg.dphi * dR4
+                m[2, 0] += 0.5 * seg.dphi * dR4
+                m[0, 2] += 0.5 * seg.dphi * dR4
             for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
                 d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
                 lo = max(r0, d)  # r0 >= d up to merge rounding
                 sin_p, cos_p = math.sin(phi), math.cos(phi)
                 if min_degree == 0:
-                    m.i0 += sigma * sgn * _d(RadialKind.R2, lo, r1, c, d)
+                    m[0, 0] += sigma * sgn * _d(RadialKind.R2, lo, r1, c, d)
                 if max_degree < 1:
                     continue
                 # R3 diverges only when both c = 0 and the integration
@@ -121,20 +103,20 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
                 dR3 = (_d(RadialKind.R3, lo, r1, c, d)
                        if (c != 0.0 or lo > 0.0) else math.inf)
                 if min_degree <= 1:
-                    m.ix += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
-                    m.iy += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
+                    m[1, 0] += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
+                    m[0, 1] += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
                 if max_degree < 2:
                     continue
                 sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
                 dR5 = _d(RadialKind.R5, lo, r1, c, d)
                 edge_part = (0.5 * d * d * sin2 * dR1
                              + 0.5 * sgn * d * cos2 * dR3) if d != 0.0 else 0.0
-                m.ixx += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
-                m.iyy += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
-                m.ixy += sigma * (-0.5 * sin_p * sin_p * dR4
-                                  + ((-0.5 * d * d * cos2 * dR1
-                                      + 0.5 * sgn * d * sin2 * dR3)
-                                     if d != 0.0 else 0.0))
+                m[2, 0] += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
+                m[0, 2] += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
+                m[1, 1] += sigma * (-0.5 * sin_p * sin_p * dR4
+                                    + ((-0.5 * d * d * cos2 * dR1
+                                        + 0.5 * sgn * d * sin2 * dR3)
+                                       if d != 0.0 else 0.0))
                 if max_degree < 3:
                     continue
                 dJ3 = _d(RadialKind.J3, lo, r1, c, d)
@@ -154,10 +136,10 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
                 else:
                     fB = sgn * cos_p ** 3 * dR6 / 3.0
                     fBp = -sgn * sin_p ** 3 * dR6 / 3.0
-                m.ixxx += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
-                m.ixyy += sigma * fB
-                m.ixxy += sigma * (-fBp)
-                m.iyyy += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
+                m[3, 0] += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
+                m[1, 2] += sigma * fB
+                m[2, 1] += sigma * (-fBp)
+                m[0, 3] += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
     return m
 
 
@@ -252,15 +234,69 @@ class PanelPolynomial:
         return coeffs
 
 
-def integrate_k_panel(panel, target, p: PanelPolynomial | None = None) -> float:
+def _densities(p, max_degree=2, what="panel integrals"):
+    """p as a list of densities (None: the unit density), and whether the
+    caller passed a list."""
+    many = isinstance(p, (list, tuple))
+    densities = [PanelPolynomial.constant(1.0) if h is None else h
+                 for h in (p if many else [p])]
+    if any(h.degree > max_degree for h in densities):
+        raise ValueError(f"{what} support polynomial degree <= {max_degree} only")
+    return densities, many
+
+
+def _shaped(vals, many):
+    return np.array(vals, dtype=float) if many else float(vals[0])
+
+
+def _k_coeffs(q, c, nu, kmat=None) -> dict:
+    """Monomial weights {(a, b): w} of the K numerator times one density.
+
+    q is the density's {(a, b): coeff} in a frame with the target at
+    height c above the origin and normal nu.  The numerator is
+    c nu3 - nu1 s1 - nu2 s2; given the second fundamental form kmat of a
+    curved patch, nu3 (-1/2 sum K_ij s_i s_j) is added to it.
+    """
+    groups = [(1.0, (((0, 0), c * nu[2]), ((1, 0), -nu[0]), ((0, 1), -nu[1])))]
+    if kmat is not None:
+        groups.insert(0, (nu[2], (((2, 0), -0.5 * kmat[0, 0]), ((1, 1), -kmat[0, 1]),
+                                  ((0, 2), -0.5 * kmat[1, 1]))))
+    coef: dict[tuple[int, int], float] = {}
+    for scale, terms in groups:
+        for (a, b), qab in q.items():
+            if qab == 0.0:
+                continue
+            for (da, db), unit in terms:
+                w = unit * qab
+                if w != 0.0:
+                    key = (a + da, b + db)
+                    coef[key] = coef.get(key, 0.0) + scale * w
+    return coef
+
+
+def _k_contract(dec, c, coefs, min_degree=0) -> list:
+    """sum w_ab I_ab / (4 pi) for each weight set in coefs, from one moment
+    set up to the highest degree any needs (lower-degree moments do not
+    depend on it); an empty set gives 0.0."""
+    degrees = [a + b for coef in coefs for a, b in coef]
+    if not degrees:
+        return [0.0] * len(coefs)
+    m = compute_k_moments(dec, c, max_degree=max(degrees), min_degree=min_degree)
+    return [sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
+            for coef in coefs]
+
+
+def integrate_k_panel(panel, target, p=None):
     """Closed-form integral of K(x, y) p(y) over a flat triangular panel.
 
     K(x, y) = (x - y).n(x) / (4 pi |x - y|^3) with n(x) the target normal.
-    Raises DivergentIntegral when the target lies in the panel plane on the
-    closed triangle; such targets must go through the on-surface path.
+    p is a PanelPolynomial (None: the unit density) or a list of them;
+    a list gives a float array with one value per density, from one
+    frame, decomposition and moment set.  Raises DivergentIntegral when
+    the target lies in the panel plane on the closed triangle; such
+    targets must go through the on-surface path.
     """
-    if p is None:
-        p = PanelPolynomial.constant(1.0)
+    densities, many = _densities(p)
     if target.n is None:
         raise ValueError("K-kernel integration needs a target normal")
     frame = normalize_frame(panel, target)
@@ -270,36 +306,24 @@ def integrate_k_panel(panel, target, p: PanelPolynomial | None = None) -> float:
         raise DivergentIntegral(
             "coplanar target on the panel; use the on-surface (curved) path")
     nu = frame.rotated_target_normal
-    coef: dict[tuple[int, int], float] = {}
-    for (a, b), qab in p.monomial_coeffs(frame.planar_points).items():
-        if qab == 0.0:
-            continue
-        # numerator (x - y).n(x) = -s1 nu1 - s2 nu2 + c nu3 in the frame
-        for key, w in (((a, b), c * nu[2] * qab),
-                       ((a + 1, b), -nu[0] * qab),
-                       ((a, b + 1), -nu[1] * qab)):
-            if w != 0.0:
-                coef[key] = coef.get(key, 0.0) + w
-    if not coef:
-        return 0.0
-    deg = max(a + b for a, b in coef)
-    m = compute_k_moments(dec, c, max_degree=deg)
-    return sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
+    coefs = [_k_coeffs(h.monomial_coeffs(frame.planar_points), c, nu)
+             for h in densities]
+    return _shaped(_k_contract(dec, c, coefs), many)
 
 
-def integrate_g_panel(panel, target, p: PanelPolynomial | None = None) -> float:
+def integrate_g_panel(panel, target, p=None):
     """Closed-form integral of G(x, y) p(y) = -p(y) / (4 pi |x - y|).
 
     Valid for any target position, including on the panel; p must have
-    degree <= 1.
+    degree <= 1.  p may be a list of densities, as in integrate_k_panel.
     """
-    if p is None:
-        p = PanelPolynomial.constant(1.0)
-    if p.degree > 1:
-        raise ValueError("G-kernel panel integrals support degree <= 1 only")
+    densities, many = _densities(p, 1, "G-kernel panel integrals")
     frame = normalize_frame(panel, target)
     dec = decompose_polar(frame.planar_triangle)
     c = _snap_height(frame.c, dec)
-    q = p.monomial_coeffs(frame.planar_points)
     j0, jx, jy = compute_g_moments(dec, c)
-    return -(q[(0, 0)] * j0 + q[(1, 0)] * jx + q[(0, 1)] * jy) / FOUR_PI
+    vals = []
+    for h in densities:
+        q = h.monomial_coeffs(frame.planar_points)
+        vals.append(-(q[(0, 0)] * j0 + q[(1, 0)] * jx + q[(0, 1)] * jy) / FOUR_PI)
+    return _shaped(vals, many)

@@ -23,65 +23,56 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
 from .geometry import Panel, _cross2, decompose_polar, orient_planar, rotation_to_z
-from .panel_integrals import FOUR_PI, PanelPolynomial, compute_k_moments
+from .panel_integrals import (FOUR_PI, PanelPolynomial, _densities, _k_coeffs,
+                              _k_contract, _shaped)
+# a qsa attribute that bench/layers.py traces; the moments are computed
+# in panel_integrals
+from .panel_integrals import compute_k_moments  # noqa: F401
 from .curvature import FundamentalForm, estimate_fundamental_form, estimate_normals
 
 _VERTEX_TOL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic vertex shifts
+_ON_SURFACE_NU = (0.0, 0.0, 1.0)  # the target normal in its own frame
 
 
-def _require_linear(p: PanelPolynomial) -> PanelPolynomial:
-    if p.degree > 1:
-        raise ValueError("quadratic-surface paths support polynomial degree <= 1")
-    return p
-
-
-def _curvature_coeffs(kmat, poly_coeffs, scale=1.0) -> dict:
-    """Monomial weights of scale * (-1/2 sum K_ij s_i s_j) * p(s1, s2)."""
-    coef: dict = {}
-    for (a, b), q in poly_coeffs.items():
-        if q == 0.0:
-            continue
-        for key, w in (((a + 2, b), -0.5 * kmat[0, 0] * q),
-                       ((a + 1, b + 1), -kmat[0, 1] * q),
-                       ((a, b + 2), -0.5 * kmat[1, 1] * q)):
-            if w != 0.0:
-                coef[key] = coef.get(key, 0.0) + scale * w
-    return coef
+def _linear_densities(p):
+    return _densities(p, 1, "quadratic-surface paths")
 
 
 def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
-                    p: PanelPolynomial | None = None,
-                    use_vertex_path: bool = True) -> float:
+                    p=None, use_vertex_path: bool = True):
     """Integral of K(x, y) p(y) over the curved patch above a panel,
     for a target x on the surface with outward normal target.n.
 
     Approximates the surface by its osculating quadratic at x, integrates
     (1/4 pi) (-1/2 sum K_ij s_i s_j) p / r^3 in closed form over the
     projected triangle.  Routes to the single-segment vertex path when the
-    target coincides with a panel vertex.
+    target coincides with a panel vertex.  p may be a list of densities:
+    one decomposition then serves all, and the result is a float array
+    with one value per density.
     """
-    p = _require_linear(p if p is not None else PanelPolynomial.constant(1.0))
+    densities, many = _linear_densities(p)
     if target.n is None:
         raise ValueError("on-surface integration needs the outward normal at x")
     verts = panel.verts
     x = np.asarray(target.x, dtype=float)
     if use_vertex_path:
-        first = int(target_vertex(verts[None], x[None])[0])
-        if first >= 0:
-            return _vertex_one(verts, x, target.n, form, p, first)
+        first = target_vertex(verts[None], x[None])
+        if first[0] >= 0:
+            out = qsa_vertex_rows(verts[None], first, x[None],
+                                  np.asarray(target.n, dtype=float)[None],
+                                  form.matrix[None],
+                                  np.asarray(form.basis, dtype=float)[None], densities)
+            return _shaped(out[0], many)
     rot = rotation_to_z(np.asarray(target.n, dtype=float))
     proj = (verts - x) @ rot.T
     proj = proj[:, :2]
     tri = orient_planar(proj[0], proj[1], proj[2])
     dec = decompose_polar(tri)
     kmat = form.express_in(rot[:2]).matrix
-    coef = _curvature_coeffs(kmat, p.monomial_coeffs(proj))
-    if not coef:
-        return 0.0
-    m = compute_k_moments(dec, 0.0, max_degree=max(a + b for a, b in coef),
-                          min_degree=2)
-    return sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
+    coefs = [_k_coeffs(h.monomial_coeffs(proj), 0.0, _ON_SURFACE_NU, kmat)
+             for h in densities]
+    return _shaped(_k_contract(dec, 0.0, coefs, min_degree=2), many)
 
 
 def target_vertex(verts, x):
@@ -150,7 +141,7 @@ def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
     sin(theta + theta2) closed-form.  A row with a zero-length angular
     interval is exactly 0; any degenerate row raises DegenerateTriangle.
     """
-    forms = np.array([_require_linear(h).form for h in densities])
+    forms = np.array([h.form for h in _linear_densities(densities)[0]])
     slope = np.array([2.0 if h.degree > 0 else 0.0 for h in densities])
     rows = np.arange(len(verts))
     nxt, far = (first + 1) % 3, (first + 2) % 3
@@ -213,37 +204,27 @@ def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
             + lin2[:, None] * p01) / FOUR_PI
 
 
-def _vertex_one(verts, x, n, form, p, first):
-    out = qsa_vertex_rows(verts[None], np.array([first]), x[None],
-                          np.asarray(n, dtype=float)[None], form.matrix[None],
-                          np.asarray(form.basis, dtype=float)[None], [p])
-    return float(out[0, 0])
-
-
 def qsa_vertex(panel: Panel, target, form: FundamentalForm,
                p: PanelPolynomial | None = None) -> float:
     """On-surface integral with the target at the panel's first vertex:
-    one row of qsa_vertex_rows."""
-    p = _require_linear(p if p is not None else PanelPolynomial.constant(1.0))
-    if target.n is None:
-        raise ValueError("on-surface integration needs the outward normal at x")
-    verts = panel.verts
+    the vertex path of qsa_on_boundary."""
     x = np.asarray(target.x, dtype=float)
-    if np.linalg.norm(verts[0] - x) > _VERTEX_TOL * max(panel.diameter, 1e-300):
+    if np.linalg.norm(panel.v1 - x) > _VERTEX_TOL * max(panel.diameter, 1e-300):
         raise ValueError("vertex path requires the target at the first vertex")
-    return _vertex_one(verts, x, target.n, form, p, 0)
+    return qsa_on_boundary(panel, target, form, p)
 
 
 def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
-                     p: PanelPolynomial | None = None) -> float:
+                     p=None):
     """Integral of K(x, y) p(y) over the curved patch for an off-surface x.
 
     form is the second fundamental form at the foot of x on the surface,
     expressed in an orthonormal tangent basis; c is the signed height of
     x above the foot along that basis's normal.  The numerator becomes
     [-s1, -s2, c - 1/2 sum K_ij s_i s_j].n(x) over the projected triangle.
+    p may be a list of densities, as in qsa_on_boundary.
     """
-    p = _require_linear(p if p is not None else PanelPolynomial.constant(1.0))
+    densities, many = _linear_densities(p)
     if target.n is None:
         raise ValueError("K-kernel integration needs a target normal")
     if c == 0.0:
@@ -256,20 +237,9 @@ def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
     tri = orient_planar(proj[0], proj[1], proj[2])
     dec = decompose_polar(tri)
     nu = rot @ np.asarray(target.n, dtype=float)
-    poly_coeffs = p.monomial_coeffs(proj)
-    coef = _curvature_coeffs(form.matrix, poly_coeffs, scale=nu[2])
-    for (a, b), q in poly_coeffs.items():
-        if q == 0.0:
-            continue
-        for key, w in (((a, b), c * nu[2] * q),
-                       ((a + 1, b), -nu[0] * q),
-                       ((a, b + 1), -nu[1] * q)):
-            if w != 0.0:
-                coef[key] = coef.get(key, 0.0) + w
-    if not coef:
-        return 0.0
-    m = compute_k_moments(dec, c, max_degree=max(a + b for a, b in coef))
-    return sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
+    coefs = [_k_coeffs(h.monomial_coeffs(proj), c, nu, form.matrix)
+             for h in densities]
+    return _shaped(_k_contract(dec, c, coefs), many)
 
 
 def foot_point(surface, x):

@@ -10,8 +10,9 @@ integrals of nine shapes.  With S = sqrt(r^2 + c^2) and Q = sqrt(r^2 - d^2):
 All primitives are evaluated in numerically stable rewrites: terms of the
 shape log((S+Q)/sqrt(c^2+d^2)) (= arctanh(Q/S)) go through log1p, and
 arctan(c*q)/c uses a 4-term odd series when |c*q| is tiny.  c and d are
-scalars here (the hot vectorized path lives in the batch module and is
-validated pairwise against this one); r may be an array.
+scalars here, except in `_atan_ratio`, which the batch module shares
+(its hot vectorized path is validated pairwise against this one); r may
+be an array.
 The scalar API validates domains and raises DivergentIntegral where the
 antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
 """
@@ -57,19 +58,20 @@ def _acos_dr(r, d):
 
 
 def _atan_ratio(c, q):
-    """arctan(c*q)/c, continuous in c (limit q at c=0).
+    """arctan(c*q)/c elementwise, continuous in c (limit q at c=0).
 
-    Series q*(1 - t^2/3 + t^4/5 - t^6/7), t = c*q, below the threshold; the
-    truncation error ~t^8/9 is below 1e-48 relative there.
+    c may be an array (the batch engine passes one per pair).  Series
+    q*(1 - t^2/3 + t^4/5 - t^6/7), t = c*q, below the threshold; the
+    truncation error ~t^8/9 is below 1e-48 relative there.  Each branch
+    is evaluated everywhere and the unused one discarded.
     """
     q = np.asarray(q, dtype=float)
-    t = c * q
-    small = np.abs(t) < _SERIES_TOL
-    t2 = t * t
-    series = q * (1.0 - t2 / 3.0 + t2 * t2 / 5.0 - t2 * t2 * t2 / 7.0)
-    if c == 0.0:
-        return series
-    return np.where(small, series, np.arctan(np.where(small, 0.0, t)) / c)
+    with np.errstate(all="ignore"):
+        t = c * q
+        t2 = t * t
+        series = q * (1.0 - t2 / 3.0 + t2 * t2 / 5.0 - t2 * t2 * t2 / 7.0)
+        exact = np.arctan(t) / c
+    return np.where(np.abs(t) < _SERIES_TOL, series, exact)
 
 
 def _st_log(s, q, c, d):

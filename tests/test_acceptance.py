@@ -49,10 +49,9 @@ from tripanel.mesh_io import (
     generate_torus_mesh,
 )
 from tripanel.oracle import (
-    REFERENCE_TRIANGLE,
-    adaptive_triangle,
-    duffy_integrate,
-    sphere_patch_chart,
+    flat_panel_oracle,
+    sphere_patch_oracle,
+    sphere_vertex_panels,
 )
 from tripanel.panel_integrals import (
     PanelPolynomial,
@@ -170,23 +169,9 @@ def test_criterion_2_decomposition_areas():
 
 # ---------------------------------------------- 3: near-singular closed form
 
-def flat_oracle(kernel, verts, x, n, p, rel_tol=1e-9):
-    jac = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
-
-    def f(uv):
-        lam = np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]],
-                       axis=1)
-        y = lam @ verts
-        diff = x[None, :] - y
-        r = np.linalg.norm(diff, axis=1)
-        vals = (diff @ n) / r ** 3 if kernel == "K" else -1.0 / r
-        if p is not None:
-            vals = vals * p.evaluate(lam)
-        return vals * jac
-
-    res = adaptive_triangle(f, REFERENCE_TRIANGLE, rel_tol=rel_tol)
-    return res.value / (4.0 * math.pi), res.converged
-
+# the oracle's absolute floor, as strict as before the 1/(4 pi) moved into
+# its integrand; it sets the oracle's accuracy on near-cancelling integrals
+ORACLE_ABS_TOL = 1e-14 / (4.0 * math.pi)
 
 def test_criterion_3_near_singular_sweep():
     t0 = time.perf_counter()
@@ -212,9 +197,11 @@ def test_criterion_3_near_singular_sweep():
                 got_k = integrate_k_panel(panel, Target(x, n), p)
             except DivergentIntegral:
                 continue
-            want_k, ok_k = flat_oracle("K", verts, x, n, p)
+            want_k, ok_k = flat_panel_oracle("K", verts, x, n, p, rel_tol=1e-9,
+                                             abs_tol=ORACLE_ABS_TOL)
             got_g = integrate_g_panel(panel, Target(x), p)
-            want_g, ok_g = flat_oracle("G", verts, x, n, p)
+            want_g, ok_g = flat_panel_oracle("G", verts, x, n, p, rel_tol=1e-9,
+                                             abs_tol=ORACLE_ABS_TOL)
             if ok_k and ok_g:
                 break
         denom_k = max(abs(want_k), 1e-10 * panel.area)
@@ -234,61 +221,12 @@ def test_criterion_3_near_singular_sweep():
 
 # ------------------------------------------------ 4: on-surface convergence
 
-def patch_oracle(panel, x, p=None, n_duffy=96):
-    """K p over the unit-sphere patch, target at vertex 1 (stable 1/(8 pi r))."""
-    rot = rotation_to_z(x)
-    coeffs = None if p is None else p.monomial_coeffs(
-        ((panel.verts - x) @ rot.T)[:, :2])
-    chart = sphere_patch_chart(*panel.verts)
-
-    def f(uv):
-        y, jac = chart(uv)
-        r = np.linalg.norm(x - y, axis=1)
-        vals = 1.0 / (8.0 * math.pi * r)
-        if coeffs is not None:
-            s = ((y - x) @ rot.T)[:, :2]
-            poly = np.zeros(len(y))
-            for (a, b), w in coeffs.items():
-                if w != 0.0:
-                    poly += w * s[:, 0] ** a * s[:, 1] ** b
-            vals = vals * poly
-        return vals * jac
-
-    return duffy_integrate(f, REFERENCE_TRIANGLE, corner=0, n=n_duffy)
-
-
-def sphere_vertex_panel(rng, diam, min_angle=5.0):
-    base = rng.standard_normal(3)
-    base /= np.linalg.norm(base)
-    t1, t2 = rotation_to_z(base)[:2]
-    while True:
-        angs = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2))
-        if not 0.4 <= angs[1] - angs[0] <= 2.0 * math.pi - 0.4:
-            continue
-        verts = [base]
-        for ang in angs:
-            tang = math.cos(ang) * t1 + math.sin(ang) * t2
-            rad = diam * rng.uniform(0.7, 1.0)
-            verts.append(math.cos(rad) * base + math.sin(rad) * tang)
-        panel = Panel(*verts)
-        angles = []
-        for i in range(3):
-            a = panel.verts[(i + 1) % 3] - panel.verts[i]
-            b = panel.verts[(i + 2) % 3] - panel.verts[i]
-            cosang = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-            angles.append(math.degrees(math.acos(np.clip(cosang, -1, 1))))
-        if min(angles) >= min_angle:
-            return panel, base, min(angles)
-
-
 def test_criterion_4_qsa_slope_and_centroid_comparison():
     rng = np.random.default_rng(314)
     rows = []
-    for _ in range(400):
-        diam = 10.0 ** rng.uniform(-3.0, -1.0)
-        panel, x, angle = sphere_vertex_panel(rng, diam)
+    for _, (panel, x, angle) in zip(range(400), sphere_vertex_panels(rng)):
         form = FundamentalForm(-1.0, 0.0, -1.0, rotation_to_z(x)[:2])
-        want = patch_oracle(panel, x)
+        want = sphere_patch_oracle(panel, x, x)
         e_qsa = abs(qsa_on_boundary(panel, Target(x, x), form) - want)
         e_cen = abs(kernel_k(x, x, panel.centroid) * panel.area - want)
         star = panel.centroid / np.linalg.norm(panel.centroid)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tripanel import bem
+from tripanel.batch import k_panel_entries
 from tripanel.bem import (
     BemSystem,
     Regularization,
@@ -356,3 +358,29 @@ def test_pin_node_gauge_is_the_single_layer_column_mean():
     assert abs(weights @ gamma) <= 1e-12 * np.abs(weights).sum() * np.abs(gamma).max()
     resid = np.linalg.norm(system.matrix @ gamma - system.rhs)
     assert resid <= 1e-10 * np.linalg.norm(system.rhs)
+
+
+def test_flagged_pairs_take_one_scalar_call(monkeypatch):
+    # a pair the batch flags is redone by one integrate_k_panel call for
+    # all three hats, so the calls count the flagged non-incident pairs
+    masks, calls = [], []
+
+    def batch(*args, **kwargs):
+        vals, flagged = k_panel_entries(*args, **kwargs)
+        masks.append(flagged.copy())
+        return vals, flagged
+
+    def scalar(panel, target, p=None):
+        calls.append(p)
+        return integrate_k_panel(panel, target, p)
+
+    monkeypatch.setattr(bem, "k_panel_entries", batch)
+    monkeypatch.setattr(bem, "integrate_k_panel", scalar)
+    meshes, _, _ = torus_in_sphere_problem(1, 8, 4)
+    tris = np.concatenate([meshes[0].triangles,
+                           meshes[1].triangles + meshes[0].n_nodes])
+    incident = np.zeros((tris.max() + 1, len(tris)), dtype=bool)
+    incident[tris.ravel(), np.repeat(np.arange(len(tris)), 3)] = True
+    flagged = np.concatenate(masks) & ~incident
+    assert len(calls) == flagged.sum() > 0
+    assert all(len(p) == 3 for p in calls)

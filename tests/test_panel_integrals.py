@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tripanel.errors import DivergentIntegral
 from tripanel.geometry import Panel, PolarDecomposition, PolarSlab, Target, decompose_polar, orient_planar
-from tripanel.oracle import adaptive_triangle, duffy_integrate
+from tripanel.oracle import adaptive_triangle, duffy_integrate, flat_panel_oracle
 from tripanel.panel_integrals import (
     MONOMIALS,
     PanelPolynomial,
@@ -20,7 +20,9 @@ from tripanel.panel_integrals import (
 )
 
 FOUR_PI = 4.0 * math.pi
-REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# the flat oracle's absolute floor, as strict as before the 1/(4 pi)
+# moved into its integrand
+ORACLE_ABS_TOL = 1e-14 / FOUR_PI
 FIG_PTS = np.array([[0.0, 2.0], [-2.0, -1.0], [3.0, 0.0]])
 
 
@@ -34,50 +36,6 @@ def planar_moment_oracle(pts, a, b, c, power, rel_tol=1e-11):
     res = adaptive_triangle(f, pts, rel_tol=rel_tol)
     assert res.converged
     return res.value
-
-
-def world_k_oracle(verts, x, n, p=None, rel_tol=1e-9):
-    """Adaptive quadrature of K(x,y) p(y) over a flat 3D triangle.
-
-    Parametrizes by barycentric coordinates directly, so it shares no code
-    with the normalized-frame pipeline.
-    """
-    verts = np.asarray(verts, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
-    jac = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
-
-    def f(uv):
-        lam = np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
-        y = lam @ verts
-        dvec = x[None, :] - y
-        dist = np.linalg.norm(dvec, axis=1)
-        val = (dvec @ n) / dist ** 3
-        if p is not None:
-            val = val * p.evaluate(lam)
-        return val * jac
-
-    res = adaptive_triangle(f, REF, rel_tol=rel_tol)
-    return res.value / FOUR_PI, res.converged
-
-
-def world_g_oracle(verts, x, p=None, rel_tol=1e-9):
-    """Adaptive quadrature of G(x,y) p(y) = -p(y)/(4 pi |x-y|) over a 3D triangle."""
-    verts = np.asarray(verts, dtype=float)
-    x = np.asarray(x, dtype=float)
-    jac = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
-
-    def f(uv):
-        lam = np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
-        y = lam @ verts
-        dist = np.linalg.norm(x[None, :] - y, axis=1)
-        val = 1.0 / dist
-        if p is not None:
-            val = val * p.evaluate(lam)
-        return val * jac
-
-    res = adaptive_triangle(f, REF, rel_tol=rel_tol)
-    return -res.value / FOUR_PI, res.converged
 
 
 def random_panel(rng, scale=1.0):
@@ -107,12 +65,12 @@ def test_full_circle_slab_k_moments():
     m = compute_k_moments(dec, c, max_degree=3)
     s0 = math.hypot(0.5, c)
     s1 = math.hypot(2.0, c)
-    assert m.i0 == pytest.approx(2.0 * math.pi * (1.0 / s0 - 1.0 / s1), rel=1e-14)
+    assert m.k_moment(0, 0) == pytest.approx(2.0 * math.pi * (1.0 / s0 - 1.0 / s1), rel=1e-14)
     r4 = (s1 + c * c / s1) - (s0 + c * c / s0)
-    assert m.ixx == pytest.approx(math.pi * r4, rel=1e-14)
-    assert m.iyy == pytest.approx(math.pi * r4, rel=1e-14)
-    for name in ("ix", "iy", "ixy", "ixxx", "ixxy", "ixyy", "iyyy"):
-        assert getattr(m, name) == 0.0
+    assert m.k_moment(2, 0) == pytest.approx(math.pi * r4, rel=1e-14)
+    assert m.k_moment(0, 2) == pytest.approx(math.pi * r4, rel=1e-14)
+    for a, b in ((1, 0), (0, 1), (1, 1), (3, 0), (2, 1), (1, 2), (0, 3)):
+        assert m.k_moment(a, b) == 0.0
 
 
 def test_full_circle_slab_g_moments():
@@ -294,7 +252,7 @@ def test_k_matches_oracle_basic():
     n = np.array([0.3, -0.5, 0.8])
     n = n / np.linalg.norm(n)
     p = PanelPolynomial.linear([1.0, -0.5, 2.0])
-    want, ok = world_k_oracle(verts, x, n, p, rel_tol=1e-11)
+    want, ok = flat_panel_oracle("K", verts, x, n, p, rel_tol=1e-11, abs_tol=ORACLE_ABS_TOL)
     assert ok
     got = integrate_k_panel(Panel(*verts), Target(x, n=n), p)
     assert got == pytest.approx(want, rel=1e-9)
@@ -325,7 +283,7 @@ def test_k_oracle_equivalence():
             got = integrate_k_panel(Panel(*verts), Target(x, n=n), p)
         except DivergentIntegral:
             continue
-        want, ok = world_k_oracle(verts, x, n, p, rel_tol=1e-8)
+        want, ok = flat_panel_oracle("K", verts, x, n, p, rel_tol=1e-8, abs_tol=ORACLE_ABS_TOL)
         if not ok:
             continue
         natural = 0.5 * np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
@@ -348,7 +306,7 @@ def test_g_oracle_equivalence():
         x = foot + height * nrm
         p = random_poly(rng, degree=int(checked % 2))
         got = integrate_g_panel(Panel(*verts), Target(x), p)
-        want, ok = world_g_oracle(verts, x, p, rel_tol=1e-8)
+        want, ok = flat_panel_oracle("G", verts, x, None, p, rel_tol=1e-8, abs_tol=ORACLE_ABS_TOL)
         if not ok:
             continue
         area = 0.5 * np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
@@ -379,6 +337,27 @@ def test_rigid_motion_invariance():
             base_g = integrate_g_panel(Panel(*verts), Target(x), p)
             moved_g = integrate_g_panel(Panel(*(verts @ q.T + t)), Target(q @ x + t), p)
             assert moved_g == pytest.approx(base_g, rel=1e-10, abs=1e-13)
+
+
+def test_density_list_matches_one_call_per_density():
+    # a list of densities shares one frame, decomposition and moment set;
+    # each slot equals the one-density call bit for bit, and the all-zero
+    # density gives 0.0
+    rng = np.random.default_rng(99)
+    densities = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)] \
+        + [PanelPolynomial.constant(1.0), PanelPolynomial.constant(0.0)]
+    for _ in range(40):
+        verts = random_panel(rng)
+        n = rng.normal(size=3)
+        panel = Panel(*verts)
+        target = Target(rng.normal(size=3) * 1.5, n=n / np.linalg.norm(n))
+        for integrate in (integrate_k_panel, integrate_g_panel):
+            got = integrate(panel, target, densities)
+            assert got.dtype == float and got.shape == (len(densities),)
+            assert got.tolist() == [integrate(panel, target, h) for h in densities]
+            assert got[-1] == 0.0
+    with pytest.raises(DivergentIntegral):
+        integrate_k_panel(panel, Target(verts.mean(axis=0), n=n), densities)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -466,12 +445,12 @@ def test_k_near_singular_sphere_panels():
                 got = integrate_k_panel(panel, Target(x, n=n), p)
             except DivergentIntegral:
                 break
-            want, ok = world_k_oracle(verts, x, n, p, rel_tol=1e-9)
+            want, ok = flat_panel_oracle("K", verts, x, n, p, rel_tol=1e-9, abs_tol=ORACLE_ABS_TOL)
             if not ok:
                 continue
             assert abs(got - want) <= 1e-6 * max(abs(want), 1e-10 * panel.area)
             gg = integrate_g_panel(panel, Target(x), p)
-            gw, gok = world_g_oracle(verts, x, p, rel_tol=1e-9)
+            gw, gok = flat_panel_oracle("G", verts, x, None, p, rel_tol=1e-9, abs_tol=ORACLE_ABS_TOL)
             if gok:
                 assert abs(gg - gw) <= 1e-6 * max(abs(gw), 1e-10 * panel.area)
         else:

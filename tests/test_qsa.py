@@ -410,3 +410,27 @@ def test_vertex_rows_zero_interval_and_degenerate_rows():
     with pytest.raises(DegenerateTriangle):
         qsa_vertex_rows(*rows([above] + panels, np.vstack([[0.0, 0.0, 1.0], normals]),
                               [forms[1]] + forms), DENSITIES)
+
+
+def test_density_list_matches_one_call_per_density():
+    # one decomposition serves a list of densities; each slot equals the
+    # one-density call bit for bit on the vertex, general and off-surface
+    # paths, and the all-zero density gives 0.0
+    rng = np.random.default_rng(17)
+    densities = DENSITIES + [PanelPolynomial.constant(0.0)]
+    for _ in range(20):
+        panel = sphere_panel(rng, 0.1)
+        form = FundamentalForm(-1.0, 0.3, -0.6, tangent_basis(panel.v1))
+        inner = panel.centroid / np.linalg.norm(panel.centroid)
+        n_x = rng.standard_normal(3)
+        calls = [lambda p: qsa_on_boundary(panel, Target(panel.v1, panel.v1), form, p),
+                 lambda p: qsa_on_boundary(panel, Target(inner, inner), form, p),
+                 lambda p: qsa_off_boundary(panel, Target(1.001 * inner, n_x / np.linalg.norm(n_x)),
+                                            form, 1e-3, p)]
+        for call in calls:
+            got = call(densities)
+            assert got.dtype == float and got.shape == (len(densities),)
+            assert got.tolist() == [call(h) for h in densities]
+            assert got[-1] == 0.0
+    with pytest.raises(DivergentIntegral):
+        qsa_off_boundary(panel, Target(inner, inner), form, 0.0, densities)

@@ -140,6 +140,13 @@ def test_series_consistency_at_threshold():
             series = q * (1 - t**2 / 3 + t**4 / 5 - t**6 / 7)
             assert float(_atan_ratio(c, q)) == pytest.approx(series, rel=1e-9)
             assert float(_atan_ratio(c, q)) == pytest.approx(math.atan(t) / c, rel=1e-9)
+    # an array of c (one per pair, as the batch engine passes) is taken
+    # elementwise, with the limit q at c = 0
+    cs = np.array([0.0, 1e-3, 1e-6, 0.5, 2.0])
+    qs = np.array([0.7, 2e-4, 0.999, 3.0, 1e300])
+    got = _atan_ratio(cs, qs)
+    assert got.tolist() == [float(_atan_ratio(c, q)) for c, q in zip(cs, qs)]
+    assert got[0] == qs[0] and got[-1] == pytest.approx(0.25 * math.pi)
     # end-to-end: tiny c activates the series inside R2 on a well-conditioned
     # interval, and the value still matches quadrature
     for c in (0.0, 1e-9, 1e-7, 1e-6):
