@@ -149,7 +149,7 @@ def _k_wedge_w(c_abs, tab, degree):
             w[(2, 1)] = -1.0 / sp
             w[(2, 2)] = sgn * (tt + bb / dd - q * r * r / (2.0 * s * sp * sp)
                                - q / (2.0 * s))
-    return {k: v[..., 1] - v[..., 0] for k, v in w.items()}
+        return {k: v[..., 1] - v[..., 0] for k, v in w.items()}
 
 
 def _g_wedge_w(c_abs, tab):
@@ -174,7 +174,7 @@ def _g_wedge_w(c_abs, tab):
         w = {(0, 0): sgn * (tt + bb / dd),
              (1, 0): sgn * (0.5 * h * h * tt - 0.5 * c2lt * q / rs) / (dd * dd),
              (1, 1): 0.5 * s + 0.5 * c2lt / rs}
-    return {k: v[..., 1] - v[..., 0] for k, v in w.items()}
+        return {k: v[..., 1] - v[..., 0] for k, v in w.items()}
 
 
 def _moments(tab, dw, degree):

@@ -2,13 +2,16 @@
 
 Every kind is checked two ways: the primitive's central difference against
 the integrand (antiderivative property), and definite integrals against
-scipy's adaptive 1D quadrature (value).  Degenerate branches (c=0, d=0),
-series fallbacks, and divergence behavior get targeted cases.
+scipy's adaptive 1D quadrature (value) and, in the near-singular regimes
+(series branch, grazing r ~ d, c and d at the 1e-14 snap, c >> r), a
+30-digit mpmath quadrature.  Degenerate branches (c=0, d=0), series
+fallbacks, and divergence behavior get targeted cases.
 """
 
 import math
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +115,9 @@ def test_divergent_cases():
             radial_primitive(kind, 0.0, 0.0, 0.0)
         with pytest.raises(DivergentIntegral):
             definite_radial(kind, 0.0, 1.0, 0.0, 0.0)
+        # r so small that S = sqrt(r^2 + c^2) underflows to 0 is r = 0
+        with pytest.raises(DivergentIntegral):
+            definite_radial(kind, 1e-170, 1.0, 0.0, 0.0)
     # with c > 0 everything is finite at r = 0
     for kind in ALL_KINDS:
         assert math.isfinite(radial_primitive(kind, 0.0, 0.5, 0.0))
@@ -131,7 +137,7 @@ def test_domain_errors():
 
 
 def test_series_consistency_at_threshold():
-    from tripanel.radial_kernels import _atan_ratio
+    from tripanel.radial_kernels import _atan_ratio, _atan_ratio_float
 
     # straddle the switch point |c*q| = 1e-6: series and arctan agree to 1e-9
     for t in (0.2e-6, 0.5e-6, 0.999e-6, 1.001e-6, 2e-6, 1e-5):
@@ -147,6 +153,17 @@ def test_series_consistency_at_threshold():
     got = _atan_ratio(cs, qs)
     assert got.tolist() == [float(_atan_ratio(c, q)) for c, q in zip(cs, qs)]
     assert got[0] == qs[0] and got[-1] == pytest.approx(0.25 * math.pi)
+    # the float lane (scalar primitives) and the array lane (batch) share
+    # the series and agree on either side of the switch, and at c = 0
+    ts = np.concatenate([np.geomspace(1e-9, 1e-3, 61), [0.999999e-6, 1e-6, 1.000001e-6]])
+    for c in (1e-3, 1e-6, 0.5, 3.0):
+        qs = ts / c
+        lane = _atan_ratio(np.full_like(qs, c), qs)
+        for q, want in zip(qs.tolist(), lane.tolist()):
+            got = _atan_ratio_float(c, q)
+            assert type(got) is float
+            assert abs(got - want) <= 2e-16 * abs(want), (c, q)
+    assert _atan_ratio_float(0.0, 0.7) == 0.7
     # end-to-end: tiny c activates the series inside R2 on a well-conditioned
     # interval, and the value still matches quadrature
     for c in (0.0, 1e-9, 1e-7, 1e-6):
@@ -196,3 +213,93 @@ def test_definite_additivity(kind, c, d, len1, len2):
     whole = definite_radial(kind, a, b, c, d)
     parts = definite_radial(kind, a, m, c, d) + definite_radial(kind, m, b, c, d)
     assert whole == pytest.approx(parts, rel=1e-11, abs=1e-13)
+
+
+# ------------------------------------------- near-singular regimes vs mpmath
+
+def _mp_integrand(kind, r, c, d):
+    """The radial integrand in mpmath arithmetic, c and d taken as given
+    (no snap to zero)."""
+    s = mpmath.sqrt(r * r + c * c)
+    q = mpmath.sqrt(max(r * r - d * d, 0))
+    ac = mpmath.acos(d / r) if r > 0 else mpmath.pi / 2
+    num = {"R1": r, "R2": ac * r, "R3": q * r, "R4": r ** 3, "R5": ac * r ** 3,
+           "R6cubic": r * q ** 3, "J1": r, "J2": ac * r, "J3": q * r}[kind.value]
+    return num / s if kind.value.startswith("J") else num / s ** 3
+
+
+def mp_reference(kind, r_lo, r_hi, c, d):
+    """30-digit definite integral; every integrand is nonnegative, so this
+    is also the integral of |integrand|."""
+    with mpmath.workdps(30):
+        c, d = mpmath.mpf(abs(c)), mpmath.mpf(d)
+        val = mpmath.quad(lambda r: _mp_integrand(kind, r, c, d),
+                          [mpmath.mpf(r_lo), mpmath.mpf(r_hi)])
+    return float(val)
+
+
+D_GRAZE = 0.4
+NEAR_SINGULAR_REGIMES = {
+    # arctan(c*Q/(d*S))/c on its series branch at both ends (|c*q| < 1e-6)
+    "series": (0.5, 1.5, 1e-7, D_GRAZE),
+    # series branch at r = d, arctan branch at r_hi
+    "series_to_atan": (D_GRAZE, 1.5, 1e-6, D_GRAZE),
+    # r_lo within 1e-12 relative of d, above it and (snapped up) below it;
+    # arccos of the rounded d/r lost ~6e-12 of R2, R5 and J2 at 1e-12
+    "graze_above": (D_GRAZE * (1.0 + 1e-12), 0.9, 0.3, D_GRAZE),
+    "graze_closer": (D_GRAZE * (1.0 + 1e-13), 0.9, 0.3, D_GRAZE),
+    "graze_below": (D_GRAZE * (1.0 - 5e-13), 0.9, 0.3, D_GRAZE),
+    "graze_c_tiny": (D_GRAZE * (1.0 + 1e-12), 0.9, 1e-9, D_GRAZE),
+    # c and d on either side of the 1e-14 snap to the exact branches
+    "c_above_snap": (0.2, 1.0, 1.1e-14, 0.1),
+    "c_below_snap": (0.2, 1.0, 0.9e-14, 0.1),
+    "d_above_snap": (0.2, 1.0, 0.3, 1.1e-14),
+    "d_below_snap": (0.2, 1.0, 0.3, 0.9e-14),
+    "cd_below_snap": (0.2, 1.0, 0.9e-14, 0.9e-14),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(NEAR_SINGULAR_REGIMES))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_near_singular_regimes_match_mpmath(kind, regime):
+    r_lo, r_hi, c, d = NEAR_SINGULAR_REGIMES[regime]
+    got = definite_radial(kind, r_lo, r_hi, c, d)
+    assert type(got) is float
+    ref = mp_reference(kind, max(r_lo, d), r_hi, c, d)
+    assert abs(got - ref) <= 1e-13 * ref, (got, ref)
+
+
+# c >> r: integrand ~ r^k/c^3 while the primitives' terms are ~1/c, c or
+# c*Q; their difference cancels up to (c/r)^4 of the digits
+C_FAR = {"c10": (0.05, 0.1, 1.0, 0.02), "c100_from0": (0.0, 0.01, 1.0, 0.0),
+         "c1000": (5e-4, 1e-3, 1.0, 2e-4), "c1000_d0": (5e-4, 1e-3, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("regime", sorted(C_FAR))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_c_much_greater_than_r_within_cancellation(kind, regime):
+    r_lo, r_hi, c, d = C_FAR[regime]
+    ref = mp_reference(kind, r_lo, r_hi, c, d)
+    got = definite_radial(kind, r_lo, r_hi, c, d)
+    loss = 32 * 2.0 ** -52 * (c / r_hi) ** 4
+    assert abs(got - ref) <= (1e-13 + loss) * ref, (got, ref)
+
+
+@pytest.mark.xfail(strict=True, reason="definite_radial subtracts two primitives "
+                   "of size ~c^j; at c/r = 1000 that loses more than 1e-13 of "
+                   "the integral for every kind (R4/R5/R6cubic: ~1e-3)")
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_c_much_greater_than_r_to_1e13_of_integral(kind):
+    r_lo, r_hi, c, d = C_FAR["c1000"]
+    ref = mp_reference(kind, r_lo, r_hi, c, d)
+    assert abs(definite_radial(kind, r_lo, r_hi, c, d) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_primitives_return_python_floats(kind):
+    for args in ((1.3, 0.7, 0.4), (np.float64(1.3), np.float64(-0.7), np.float64(0.4)),
+                 (1.3, 0.0, 0.0), (0.4, 0.7, 0.4), (2, 1, 0)):
+        assert type(radial_primitive(kind, *args)) is float
+        assert type(radial_primitive(kind.value, *args)) is float
+        assert type(definite_radial(kind, args[0], 2.0 * args[0], *args[1:])) is float
+    assert type(radial_integrand(kind, 1.3, 0.7, 0.4)) is float
