@@ -42,10 +42,10 @@ from functools import cached_property
 import numpy as np
 
 from .batch import (
+    _panel_table,
     g_panel_entries,
     k_panel_entries,
     k_row_sums,
-    panel_frames,
     tangent_frames,
 )
 from .curvature import (
@@ -76,7 +76,14 @@ from .qsa import foot_point, qsa_on_boundary, qsa_vertex_rows, target_vertex
 # matrix entry, or the unit density of an identity row sum
 _HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 _UNIT = [PanelPolynomial.constant(1.0)]
-_PAIR_BUDGET = 150_000  # rows x panels per vectorized block
+# rows x panels per vectorized block, sized for the cache: the batch
+# engine keeps a few dozen temporaries of 6 doubles per pair alive, ~96 kB
+# each at 2,000 pairs, so a block's working set stays near a 2 MB L2.  On a
+# 2-vCPU Xeon (2 MB L2 per core), blocks of 1,500-2,000 pairs ran the
+# fib-150 identity row sums and the torus G and potential passes 25-40%
+# faster than one whole-problem block (150,000 pairs, the old value), and
+# 3,000-6,000 pairs gave back about half of that.
+_PAIR_BUDGET = 2_000
 
 
 class SingularStrategy(Enum):
@@ -153,7 +160,7 @@ class _Assembly:
         self.nodes = np.concatenate(nodes)
         self.tris = np.concatenate(tris)
         self.verts = self.nodes[self.tris]
-        self.frames = panel_frames(self.verts)
+        self.table = _panel_table(self.verts)
         self.areas = 0.5 * np.linalg.norm(
             np.cross(self.verts[:, 1] - self.verts[:, 0],
                      self.verts[:, 2] - self.verts[:, 0]), axis=1)
@@ -223,12 +230,12 @@ def _pair_blocks(asm, points, normals, densities, incident=None):
         stop = min(start + blk, len(points))
         if normals is None:
             vals, flagged = g_panel_entries(points[start:stop], asm.verts,
-                                            frames=asm.frames)
+                                            table=asm.table)
             integrate = integrate_g_panel
         else:
             batch = k_row_sums if densities is _UNIT else k_panel_entries
             vals, flagged = batch(points[start:stop], normals[start:stop],
-                                  asm.verts, frames=asm.frames)
+                                  asm.verts, table=asm.table)
             integrate = integrate_k_panel
         vals = vals.reshape(*flagged.shape, len(densities))
         pending = np.zeros(flagged.shape, dtype=bool)

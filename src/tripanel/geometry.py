@@ -148,14 +148,19 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
     u_a = -t_f * l
     u_b = (1.0 - t_f) * l
     # the foot is perpendicular to the edge: foot = q * perp(e)/l with
-    # q = cross(e, a)/l, which keeps d and phi stable even when the edge
-    # line passes very close to the origin (a + t_f*e would cancel there)
-    q = float(_cross2(e, a)) / l
+    # q = cross(e, a)/l = cross(e, b)/l, which keeps d and phi stable even
+    # when the edge line passes very close to the origin (a + t_f*e would
+    # cancel there); the nearer endpoint keeps q's roundoff at eps*|near|
+    near = a if norm_a <= norm_b else b
+    q = float(_cross2(e, near)) / l
     d = abs(q)
     foot = (q / l) * np.array([-e[1], e[0]])
-    if d <= 1e-14 * max(norm_a, norm_b):
+    if d <= 1e-14 * min(norm_a, norm_b):
         # edge line passes through the origin: the foot angle is undefined,
-        # so anchor phi on the farther endpoint T, theta_T = psi_T exactly
+        # so anchor phi on the farther endpoint T, theta_T = psi_T exactly.
+        # The snap is scaled by the nearer endpoint, as q's roundoff is: a
+        # line merely close to the origin keeps its d and phi, else the
+        # near endpoint's angle would be off by about d / |near|
         d = 0.0
         foot = np.zeros(2)
         ori = 1
@@ -287,6 +292,15 @@ def critical_radii(tri: PlanarTriangle) -> list[float]:
     return out
 
 
+def _acos_ratio(d, r):
+    """arccos(d/r) for 0 <= d as atan2(sqrt((r-d)(r+d)), d), 0 once r <= d.
+
+    r - d is exact where r grazes d, so no digits are lost there; the
+    rounded ratio d/r would cost half of them.
+    """
+    return math.atan2(math.sqrt(max((r - d) * (r + d), 0.0)), d)
+
+
 @dataclass
 class AngleBoundary:
     """One angular endpoint of a slab segment: theta(r) = sign*arccos(d/r) + phi."""
@@ -295,8 +309,12 @@ class AngleBoundary:
     phi: float
     edge: int
 
+    def sweep(self, r: float) -> float:
+        """theta(r) - phi."""
+        return self.sign * _acos_ratio(self.d, r)
+
     def theta(self, r: float) -> float:
-        return self.phi + self.sign * math.acos(min(1.0, self.d / r))
+        return self.phi + self.sweep(r)
 
 
 @dataclass
@@ -312,8 +330,7 @@ class Segment:
     dphi: float
 
     def measure(self, r: float) -> float:
-        return (self.dphi + self.end.sign * math.acos(min(1.0, self.end.d / r))
-                - self.start.sign * math.acos(min(1.0, self.start.d / r)))
+        return self.dphi + self.end.sweep(r) - self.start.sweep(r)
 
 
 @dataclass

@@ -72,13 +72,15 @@ def _atan_ratio_float(c, q):
 
 def _atan_ratio(c, q):
     """`_atan_ratio_float` elementwise; c may be an array (the batch
-    engine passes one per pair).  Both branches are evaluated everywhere."""
+    engine passes one per pair).  The series runs on the small lanes only."""
     q = np.asarray(q, dtype=float)
     with np.errstate(all="ignore"):
-        t = c * q
-        series = _atan_series(q, t)
-        exact = np.arctan(t) / c
-    return np.where(np.abs(t) < _SERIES_TOL, series, exact)
+        t = np.asarray(c * q)
+        out = np.asarray(np.arctan(t) / c)
+    small = np.abs(t) < _SERIES_TOL
+    if small.any():
+        out[small] = _atan_series(np.broadcast_to(q, t.shape)[small], t[small])
+    return out
 
 
 def _st_log(s, q, c, d):

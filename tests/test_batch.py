@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from tripanel.batch import (
+    _panel_table,
     g_panel_entries,
     k_panel_entries,
     k_row_sums,
     panel_frames,
     tangent_frames,
 )
+from tripanel.curvature import torus_probe
 from tripanel.geometry import Panel, Target
+from tripanel.mesh_io import generate_sphere_mesh, generate_torus_mesh
 from tripanel.panel_integrals import (
     PanelPolynomial,
     integrate_g_panel,
@@ -206,3 +209,66 @@ def test_blocked_and_single_calls_agree():
         one, _ = k_panel_entries(x[b][None], n_x[b][None], verts)
         # block shape only changes BLAS reduction order
         assert np.allclose(one[0], all_vals[b], rtol=1e-12, atol=1e-14 * scale)
+
+
+def _worst_against_scalar(x, n_x, verts):
+    """Largest |batch - scalar| over every pair no entry flags, relative
+    to the pair's largest scalar hat value, per entry."""
+    kv, kfb = k_panel_entries(x, n_x, verts)
+    sv, sfb = k_row_sums(x, n_x, verts)
+    gv, gfb = g_panel_entries(x, verts)
+    assert np.array_equal(kfb, sfb)
+    worst = {"k_panel_entries": 0.0, "k_row_sums": 0.0, "g_panel_entries": 0.0}
+    for b, p in zip(*np.nonzero(~kfb)):
+        ref = np.asarray(integrate_k_panel(Panel(*verts[p]),
+                                           Target(x[b], n_x[b]), HATS))
+        scale = np.abs(ref).max()
+        worst["k_panel_entries"] = max(worst["k_panel_entries"],
+                                       np.abs(kv[b, p] - ref).max() / scale)
+        worst["k_row_sums"] = max(worst["k_row_sums"],
+                                  abs(sv[b, p] - ref.sum()) / scale)
+    for b, p in zip(*np.nonzero(~gfb)):
+        ref = np.asarray(integrate_g_panel(Panel(*verts[p]), Target(x[b]), HATS))
+        worst["g_panel_entries"] = max(worst["g_panel_entries"],
+                                       np.abs(gv[b, p] - ref).max()
+                                       / np.abs(ref).max())
+    return worst
+
+
+def test_entries_match_scalar_on_every_bem_pair():
+    # every unflagged node pair of torus_in_sphere_problem(1, 8, 4), with
+    # the assembly's normals, and seeded rows of an icosphere
+    sphere = generate_sphere_mesh(1)
+    torus = generate_torus_mesh(0.4, 0.2, 8, 4)
+    t_norm = np.array([torus_probe(0.4, 0.2).gradient(p) for p in torus.nodes])
+    x = np.concatenate([sphere.nodes, torus.nodes])
+    n_x = np.concatenate([sphere.nodes, t_norm])
+    n_x /= np.linalg.norm(n_x, axis=1, keepdims=True)
+    tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
+    ico = generate_sphere_mesh(2)
+    rows = np.random.default_rng(6).choice(ico.n_nodes, 4, replace=False)
+    y = ico.nodes[rows]
+    for worst in (_worst_against_scalar(x, n_x, x[tris]),
+                  _worst_against_scalar(y, y / np.linalg.norm(y, axis=1)[:, None],
+                                        ico.nodes[ico.triangles])):
+        assert max(worst.values()) <= 1e-11, worst
+
+
+def test_prebuilt_table_changes_nothing():
+    # the assembler passes the panel table it built once; the benchmark
+    # and the tests let each entry build its own
+    rng = np.random.default_rng(14)
+    verts = rng.uniform(-1, 1, (40, 3, 3))
+    verts[3, 2] = 2.0 * verts[3, 1] - verts[3, 0]      # one degenerate panel
+    x = np.concatenate([rng.uniform(-1.5, 1.5, (5, 3)), verts[:2, 0],
+                        verts[5].mean(axis=0)[None]])
+    n_x = rng.normal(size=(len(x), 3))
+    n_x /= np.linalg.norm(n_x, axis=1, keepdims=True)
+    table = _panel_table(verts)
+    for own, shared in (
+            (k_panel_entries(x, n_x, verts), k_panel_entries(x, n_x, verts, table)),
+            (k_row_sums(x, n_x, verts), k_row_sums(x, n_x, verts, table=table)),
+            (g_panel_entries(x, verts), g_panel_entries(x, verts, table=table))):
+        assert own[1].any()
+        assert np.array_equal(own[0], shared[0])
+        assert np.array_equal(own[1], shared[1])

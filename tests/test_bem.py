@@ -384,3 +384,24 @@ def test_flagged_pairs_take_one_scalar_call(monkeypatch):
     flagged = np.concatenate(masks) & ~incident
     assert len(calls) == flagged.sum() > 0
     assert all(len(p) == 3 for p in calls)
+
+
+def test_block_size_changes_nothing(monkeypatch):
+    # every operator gives the same bits with one target row per block as
+    # with the whole problem in one block
+    def run(budget):
+        monkeypatch.setattr(bem, "_PAIR_BUDGET", budget)
+        meshes, system, _ = torus_in_sphere_problem(1, 8, 4)
+        gamma = np.random.default_rng(3).normal(size=system.n)
+        points = np.random.default_rng(4).uniform(-0.9, 0.9, (30, 3))
+        return (system.matrix,
+                *identity_row_parts(meshes[1])[:2],
+                evaluate_potential(meshes, gamma, points))
+
+    panels = sum(m.n_triangles for m in torus_in_sphere_problem(1, 8, 4)[0])
+    one_row, one_block = run(panels), run(10 ** 9)
+    for a, b in zip(one_row, one_block):
+        if isinstance(a, list):
+            assert a == b
+        else:
+            assert np.array_equal(a, b)

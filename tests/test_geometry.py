@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -181,6 +181,9 @@ def test_edge_geometry_right_triangle():
 
 @settings(max_examples=200, deadline=None)
 @given(tri2d_strategy())
+# the edge (1e-10, 4.1e-15) -> (1, 0) passes 4.1e-15 from the origin,
+# 4e-5 of its near endpoint's radius
+@example(t=(1e-10, 4.063049395423614e-15, 1.0, 0.0, 0.0, 1.0))
 def test_edge_sign_resolves_first_vertex(t):
     tri = orient_planar(t[0:2], t[2:4], t[4:6])
     for (a, b), g in zip(tri.edges(), edge_geometry(tri)):
@@ -305,6 +308,7 @@ def test_area_oracle_origin_on_edge_and_vertex():
 
 @settings(max_examples=60, deadline=None)
 @given(tri2d_strategy(), st.floats(0, 2 * math.pi))
+@example(t=(0.0, 1.0, 1e-12, 0.0, -1.0, 0.0), alpha=1.0)
 def test_decompose_rotation_invariant(t, alpha):
     tri = orient_planar(t[0:2], t[2:4], t[4:6])
     rot = np.array([[math.cos(alpha), -math.sin(alpha)],
