@@ -22,11 +22,15 @@ of targets at a time.  Each pair takes one of three routes:
 2. scalar fallback: pairs the batch flags as ill-conditioned, redone by
    the closed forms of `panel_integrals`, one call per pair for all of
    its densities (one decomposition and one moment set);
-3. singular strategy: where the flat-panel integral diverges (incident
-   panels, or a flagged pair whose scalar integral diverges), the
+3. singular strategy: the incident pairs (a node and a panel that has
+   the node as a vertex), where the flat-panel integral diverges: the
    curvature-corrected closed form (QSA), zero, or one-point quadrature
-   at the flat or surface-projected centroid, evaluated for all pending
-   pairs of a block in one vectorized call.
+   at the flat or surface-projected centroid, evaluated for all of an
+   operator's incident pairs in one vectorized call.
+
+Any other pair whose flat integral diverges has a node lying on a panel
+it is not a vertex of (touching or intersecting meshes): the K
+operators at the nodes raise MeshError for it.
 
 Each operator only reduces the blocks: it scatters hat values into
 matrix rows, sums rows, or contracts with the density.
@@ -50,13 +54,13 @@ from .batch import (
 )
 from .curvature import (
     FundamentalForm,
-    estimate_fundamental_forms,
     estimate_normals,
+    fundamental_form_from_shape,
     shape_operator,
     sphere_probe,
     torus_probe,
 )
-from .errors import ConvergenceFailure, DivergentIntegral
+from .errors import ConvergenceFailure, DivergentIntegral, MeshError
 from .geometry import Panel, Target, rotation_to_z
 from .mesh_io import (
     SurfaceMesh,
@@ -70,7 +74,9 @@ from .panel_integrals import (
     integrate_g_panel,
     integrate_k_panel,
 )
-from .qsa import foot_point, qsa_on_boundary, qsa_vertex_rows, target_vertex
+from .qsa import foot_point, qsa_vertex_rows
+# a bem attribute that bench/layers.py traces; no operator here calls it
+from .qsa import qsa_on_boundary  # noqa: F401
 
 # the densities a pair is integrated against: the three vertex hats of a
 # matrix entry, or the unit density of an identity row sum
@@ -165,10 +171,11 @@ class _Assembly:
             np.cross(self.verts[:, 1] - self.verts[:, 0],
                      self.verts[:, 2] - self.verts[:, 0]), axis=1)
         self.centroids = self.verts.mean(axis=1)
-        self.incident = [[] for _ in range(len(self.nodes))]
-        for p, tri in enumerate(self.tris):
-            for v in tri:
-                self.incident[v].append(p)
+        # the incident pairs, node-major: node inc_node[m] is vertex
+        # inc_slot[m] of panel inc_panel[m]
+        order = np.argsort(self.tris.ravel(), kind="stable")
+        self.inc_node = self.tris.ravel()[order]
+        self.inc_panel, self.inc_slot = np.divmod(order, 3)
 
     @cached_property
     def normals(self):
@@ -211,19 +218,21 @@ def _patch_projection(x, normal, kmat, basis, centroid):
     return x + np.einsum("rb,rbk->rk", s, basis) + height[:, None] * normal
 
 
-def _pair_blocks(asm, points, normals, densities, incident=None):
+def _pair_blocks(asm, points, normals, densities, on_nodes=False):
     """All (target, panel) integrals of one operator, a block of targets
     at a time.
 
     K with the target `normals`, or G when they are None, against each of
     `densities` (_HATS, or _UNIT for K row sums).  Pairs the batch call
-    flags are redone on the scalar path.  Callers with a singular strategy
-    pass `incident` (per target, the panels it sits on): those pairs, and
-    flagged pairs whose scalar integral diverges, come back pending with
-    value zero.  Without it a divergent pair raises DivergentIntegral.
+    flags are redone on the scalar path; a divergent one raises
+    DivergentIntegral.  With `on_nodes` the targets are the mesh nodes:
+    their incident pairs come back zero, for the singular strategy to
+    fill, and any other pair whose scalar integral diverges has a node
+    on a panel it is not a vertex of, which raises MeshError.
 
-    Yields (start, stop, vals, pending): vals[j, p, d] belongs to target
-    start + j, panel p and densities[d].
+    Yields (start, stop, vals, at): vals[j, p, d] belongs to target
+    start + j, panel p and densities[d]; `at` slices the incident pair
+    arrays to the block's nodes (empty without `on_nodes`).
     """
     blk = max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
     for start in range(0, len(points), blk):
@@ -238,56 +247,48 @@ def _pair_blocks(asm, points, normals, densities, incident=None):
                                   asm.verts, table=asm.table)
             integrate = integrate_k_panel
         vals = vals.reshape(*flagged.shape, len(densities))
-        pending = np.zeros(flagged.shape, dtype=bool)
-        if incident is not None:
-            for j in range(stop - start):
-                pending[j, incident[start + j]] = True
-            flagged &= ~pending
+        at = slice(0)
+        if on_nodes:
+            at = slice(*np.searchsorted(asm.inc_node, [start, stop]))
+            incident = asm.inc_node[at] - start, asm.inc_panel[at]
+            flagged[incident] = False
+            vals[incident] = 0.0
         for j, p in zip(*np.nonzero(flagged)):
             i = start + j
             target = Target(points[i], None if normals is None else normals[i])
             try:
                 vals[j, p] = integrate(Panel(*asm.verts[p]), target, densities)
-            except DivergentIntegral:
-                if incident is None:
+            except DivergentIntegral as exc:
+                if not on_nodes:
                     raise
-                pending[j, p] = True
-        vals[pending] = 0.0
-        yield start, stop, vals, pending
+                raise MeshError(f"node {i} lies on panel {p}, which does not "
+                                "have it as a vertex (touching meshes?)") from exc
+        yield start, stop, vals, at
 
 
-def _strategy_values(strategy, asm, rows, panels, densities, forms, probes):
-    """int K(x_i, y) h(y) dS by `strategy` for the pairs (rows[m],
-    panels[m]) and each density h: an array (pairs, densities).
+def _strategy_values(strategy, asm, densities, forms, probes):
+    """int K(x_i, y) h(y) dS by `strategy` over every incident pair, node
+    inc_node[m] and panel inc_panel[m], and each density h: an array
+    (pairs, densities).
 
-    For the pairs the flat closed forms cannot give.  QSA evaluates every
-    pair whose target is a panel vertex in one vectorized pass; the rare
-    rest take the general on-surface path, one call per pair.  The
-    one-point centroid rules weigh each density by its centroid value,
-    which is 1/len(densities) for both density sets (three hats, or the
-    unit); CentroidStar moves the centroid onto the surface by the probe
-    (one Newton projection per pair) or else onto the node's osculating
-    quadratic.
+    These are the pairs the flat closed forms cannot give.  QSA evaluates
+    them all in one vectorized pass of the vertex path, the slot read
+    from the triangle.  The one-point centroid rules weigh each density
+    by its centroid value, which is 1/len(densities) for both density
+    sets (three hats, or the unit); CentroidStar moves the centroid onto
+    the surface by the probe (one Newton projection per pair) or else
+    onto the node's osculating quadratic.
     """
-    out = np.zeros((len(rows), len(densities)))
-    if strategy is SingularStrategy.Zero or not len(rows):
-        return out
+    rows, panels = asm.inc_node, asm.inc_panel
+    if strategy is SingularStrategy.Zero:
+        return np.zeros((len(rows), len(densities)))
     x = asm.nodes[rows]
     n = asm.normals[rows]
     if strategy is SingularStrategy.QSA:
         kmat, basis = _node_forms(forms, asm, rows)
-        verts = asm.verts[panels]
-        first = target_vertex(verts, x)
-        at = first >= 0
         unit = n / np.linalg.norm(n, axis=1, keepdims=True)
-        out[at] = qsa_vertex_rows(verts[at], first[at], x[at], unit[at],
-                                  kmat[at], basis[at], densities)
-        for m in np.flatnonzero(~at):
-            form = FundamentalForm(kmat[m, 0, 0], kmat[m, 0, 1],
-                                   kmat[m, 1, 1], basis[m])
-            out[m] = qsa_on_boundary(Panel(*verts[m]), Target(x[m], n[m]),
-                                     form, densities)
-        return out
+        return qsa_vertex_rows(asm.verts[panels], asm.inc_slot, x, unit,
+                               kmat, basis, densities)
     y = asm.centroids[panels]
     if strategy is SingularStrategy.CentroidStar:
         meshes = asm.mesh_of_node(rows)
@@ -300,8 +301,7 @@ def _strategy_values(strategy, asm, rows, panels, densities, forms, probes):
             y[~probed] = _patch_projection(x[~probed], n[~probed], kmat,
                                            basis, y[~probed])
     k = kernel_k(x, n, y) * asm.areas[panels] / len(densities)
-    out[:] = k[:, None]
-    return out
+    return np.repeat(k[:, None], len(densities), axis=1)
 
 
 def _scatter(asm, vals):
@@ -318,26 +318,18 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
     (jump -1/2, Neumann data `neumann_bc`), later ones are enclosed
     insulating interfaces (+1/2 jump, zero flux).  forms/normals/probes
     are per-mesh lists; normals default to the mesh's stored node
-    normals, else the angle-weighted estimate.  Incident and
-    flat-singular panels route through `strategy`.
+    normals, else the angle-weighted estimate.  Incident panels route
+    through `strategy`; a node on any other panel raises MeshError.
     """
     asm = _Assembly(meshes, normals)
-    if strategy is SingularStrategy.QSA and forms is None:
-        raise DivergentIntegral(
-            "missing curvature data: QSA assembly needs per-node forms")
-    if strategy is SingularStrategy.CentroidStar and forms is None \
-            and probes is None:
-        raise DivergentIntegral(
-            "CentroidStar needs a surface probe or fitted patch forms")
     for mesh in asm.meshes:
         require_closed_outward(mesh)
+    singular = _strategy_values(strategy, asm, _HATS, forms, probes)
     n_nodes = len(asm.nodes)
     matrix = np.zeros((n_nodes, n_nodes))
-    for start, stop, vals, pending in _pair_blocks(
-            asm, asm.nodes, asm.normals, _HATS, asm.incident):
-        js, ps = np.nonzero(pending)
-        vals[js, ps] = _strategy_values(strategy, asm, start + js, ps,
-                                        _HATS, forms, probes)
+    for start, stop, vals, at in _pair_blocks(
+            asm, asm.nodes, asm.normals, _HATS, on_nodes=True):
+        vals[asm.inc_node[at] - start, asm.inc_panel[at]] = singular[at]
         matrix[start:stop] = _scatter(asm, vals)
     jump = np.where(asm.mesh_of_node(np.arange(n_nodes)) == 0, -0.5, 0.5)
     matrix[np.diag_indices(n_nodes)] += jump
@@ -361,33 +353,28 @@ def sphere_forms(mesh: SurfaceMesh, radius=None):
 
 def probe_forms(probe, points, normals):
     """Per-node fundamental forms from an implicit-surface probe."""
-    out = []
-    for x, n in zip(np.asarray(points, dtype=float),
-                    np.asarray(normals, dtype=float)):
-        shape = shape_operator(probe, x)
-        basis = rotation_to_z(n)[:2]
-        k = basis @ shape @ basis.T
-        out.append(FundamentalForm(k[0, 0], 0.5 * (k[0, 1] + k[1, 0]),
-                                   k[1, 1], basis.copy()))
-    return out
+    return [fundamental_form_from_shape(shape_operator(probe, x),
+                                        rotation_to_z(n))
+            for x, n in zip(np.asarray(points, dtype=float),
+                            np.asarray(normals, dtype=float))]
 
 
 def identity_row_parts(mesh: SurfaceMesh, normals=None):
     """Strategy-independent pieces of the closed-surface Gauss identity.
 
-    Returns (base, pending, normals): base[i] holds the non-incident
-    sum of int K dS over panels, pending[i] lists the panel ids whose
-    value depends on the singular strategy (the incident set, plus any
-    pair whose flat frame is singular for that node).
+    Returns (base, incident, normals): base[i] holds the non-incident
+    sum of int K dS over panels, incident[i] lists the panel ids that
+    have node i as a vertex, whose values the singular strategy gives.
+    A node on any other panel raises MeshError.
     """
     asm = _Assembly(mesh, None if normals is None else [normals])
     base = np.zeros(len(asm.nodes))
-    pending = []
-    for start, stop, vals, pend in _pair_blocks(
-            asm, asm.nodes, asm.normals, _UNIT, asm.incident):
+    for start, stop, vals, _ in _pair_blocks(
+            asm, asm.nodes, asm.normals, _UNIT, on_nodes=True):
         base[start:stop] = vals[:, :, 0].sum(axis=1)
-        pending += [np.flatnonzero(row).tolist() for row in pend]
-    return base, pending, asm.normals
+    bounds = np.searchsorted(asm.inc_node, np.arange(1, len(asm.nodes)))
+    incident = [p.tolist() for p in np.split(asm.inc_panel, bounds)]
+    return base, incident, asm.normals
 
 
 def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
@@ -401,14 +388,12 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
     """
     if parts is None:
         parts = identity_row_parts(mesh, normals)
-    base, pending, nrm = parts
+    base, _, nrm = parts
     if forms is None:
         forms = sphere_forms(mesh)
     asm = _Assembly(mesh, [nrm])
-    rows = np.repeat(np.arange(len(pending)), [len(p) for p in pending])
-    panels = np.array([p for row in pending for p in row], dtype=int)
-    vals = _strategy_values(strategy, asm, rows, panels, _UNIT, [forms], None)
-    totals = base + np.bincount(rows, vals[:, 0], minlength=len(base))
+    vals = _strategy_values(strategy, asm, _UNIT, [forms], None)
+    totals = base + np.bincount(asm.inc_node, vals[:, 0], minlength=len(base))
     errors = np.abs(totals - 0.5) / 0.5
     return float(errors.max()), errors
 

@@ -64,12 +64,13 @@ def shape_operator(probe: SdfProbe, x) -> np.ndarray:
     return -np.asarray(probe.hessian(x), dtype=float) / glen
 
 
-def fundamental_form_from_shape(shape: np.ndarray, frame) -> FundamentalForm:
-    """Restrict a 3x3 shape operator to a normalized frame's in-plane basis.
+def fundamental_form_from_shape(shape: np.ndarray, rotation) -> FundamentalForm:
+    """Restrict a 3x3 shape operator to the in-plane basis of a rotation
+    that maps the surface normal onto +z (a normalized frame's rotation).
 
-    K_ij = (R^T e_i) . S . (R^T e_j); translations play no role.
+    K_ij = (R^T e_i) . S . (R^T e_j).
     """
-    rot = np.asarray(frame.rotation, dtype=float)
+    rot = np.asarray(rotation, dtype=float)
     basis = rot[:2]  # rows: world vectors mapped to the frame's x and y axes
     k = basis @ np.asarray(shape, dtype=float) @ basis.T
     return FundamentalForm(k[0, 0], 0.5 * (k[0, 1] + k[1, 0]), k[1, 1], basis.copy())

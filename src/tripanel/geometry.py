@@ -204,23 +204,9 @@ class PlanarTriangle:
         if self.area <= 0.0:
             raise DegenerateTriangle("planar triangle must be positively oriented; "
                                      "build it with orient_planar")
-        self.diameter = max(np.linalg.norm(self.verts[i] - self.verts[j])
-                            for i, j in ((0, 1), (1, 2), (2, 0)))
-
-    @property
-    def p1(self):
-        return self.verts[0]
-
-    @property
-    def p2(self):
-        return self.verts[1]
-
-    @property
-    def p3(self):
-        return self.verts[2]
 
     def edges(self):
-        """The three directed edges (A, B) in order p1p2, p2p3, p3p1."""
+        """The three directed edges (A, B): vertices 0-1, 1-2 and 2-0."""
         v = self.verts
         return [(v[0], v[1]), (v[1], v[2]), (v[2], v[0])]
 
@@ -251,16 +237,17 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
     """Rotate+translate so the panel lies in z=0 and the target on the z-axis.
 
     c is the signed height of the target over the panel plane, with the panel
-    normal pointing toward positive z.
+    normal pointing toward positive z.  The planar vertices are rotated from
+    v - x, and c is taken at the vertex nearest x, so the offset of a target
+    close to a vertex carries its own roundoff, not the roundoff of |v|.
     """
     x = target.x
     n = panel.normal
-    c = float(n @ (x - panel.v1))
-    foot = x - c * n
+    rel = panel.verts - x
+    c = -float(n @ rel[np.argmin((rel * rel).sum(axis=1))])
     rot = rotation_to_z(n)
-    trans = -rot @ foot
-    mapped = (panel.verts @ rot.T) + trans
-    planar = mapped[:, :2].copy()
+    trans = -rot @ (x - c * n)
+    planar = (rel @ rot.T)[:, :2]
     tri = orient_planar(planar[0], planar[1], planar[2])
     rn = None if target.n is None else rot @ target.n
     return NormalizedFrame(rotation=rot, translation=trans, c=c,

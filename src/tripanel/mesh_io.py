@@ -58,10 +58,6 @@ class SurfaceMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_points(self, t: int) -> np.ndarray:
-        """The (3, 3) vertex positions of triangle t."""
-        return self.nodes[self.triangles[t]]
-
     def validate(self):
         tri = self.triangles
         n = len(self.nodes)

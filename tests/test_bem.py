@@ -405,3 +405,21 @@ def test_block_size_changes_nothing(monkeypatch):
             assert a == b
         else:
             assert np.array_equal(a, b)
+
+
+def test_touching_meshes_raise():
+    # node 0 of a small sphere sits at the centroid of panel 0 of a larger
+    # one: a node on a panel it is not a vertex of fails loudly
+    big = generate_sphere_mesh(1)
+    unit = generate_sphere_mesh(0)
+    shift = big.nodes[big.triangles[0]].mean(axis=0) - 0.2 * unit.nodes[0]
+    small = SurfaceMesh(0.2 * unit.nodes + shift, unit.triangles)
+    normals = [unit_normals(big), unit_normals(unit)]
+    forms = [sphere_forms(big), sphere_forms(unit, radius=0.2)]
+    for strategy in (SingularStrategy.Zero, SingularStrategy.QSA):
+        with pytest.raises(MeshError, match="node 42 lies on panel 0"):
+            assemble([big, small], strategy, forms, normals=normals)
+    merged = SurfaceMesh(np.concatenate([big.nodes, small.nodes]),
+                         np.concatenate([big.triangles, small.triangles + big.n_nodes]))
+    with pytest.raises(MeshError, match="node 42 lies on panel 0"):
+        identity_row_parts(merged, np.concatenate(normals))

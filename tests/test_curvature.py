@@ -102,7 +102,7 @@ def test_fundamental_form_sphere_pole():
                   np.array([-0.005, -0.008, 1.0]))
     frame = normalize_frame(panel, Target(np.array([0.0, 0.0, 1.0])))
     s = shape_operator(sphere_probe(), np.array([0.0, 0.0, 1.0]))
-    form = fundamental_form_from_shape(s, frame)
+    form = fundamental_form_from_shape(s, frame.rotation)
     assert np.allclose(form.matrix, -np.eye(2), atol=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_fundamental_form_plane_and_cylinder():
     panel = Panel(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([-1.0, -1.0, 0.0]))
     frame = normalize_frame(panel, Target(np.array([0.0, 0.0, 0.0])))
-    form = fundamental_form_from_shape(shape_operator(probe, np.zeros(3)), frame)
+    form = fundamental_form_from_shape(shape_operator(probe, np.zeros(3)), frame.rotation)
     assert np.allclose(form.matrix, 0.0)
 
     # cylinder of radius a about the z axis, evaluated at (a, 0, 0)
@@ -134,7 +134,8 @@ def test_fundamental_form_plane_and_cylinder():
     panel = Panel(np.array([a, 0.01, 0.0]), np.array([a, 0.0, 0.01]),
                   np.array([a, -0.01, -0.01]))
     frame = normalize_frame(panel, Target(np.array([a, 0.0, 0.0])))
-    form = fundamental_form_from_shape(shape_operator(probe, np.array([a, 0.0, 0.0])), frame)
+    form = fundamental_form_from_shape(shape_operator(probe, np.array([a, 0.0, 0.0])),
+                                       frame.rotation)
     # in the basis (tangent around the circle, axis direction)
     aligned = form.express_in(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     assert np.allclose(aligned.matrix, np.diag([-1.0 / a, 0.0]), atol=1e-12)

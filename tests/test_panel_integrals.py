@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripanel.errors import DivergentIntegral
-from tripanel.geometry import Panel, PolarDecomposition, PolarSlab, Target, decompose_polar, orient_planar
+from tripanel.errors import DegenerateTriangle, DivergentIntegral
+from tripanel.geometry import (Panel, PolarDecomposition, PolarSlab, Target, decompose_polar,
+                               orient_planar, rotation_to_z)
 from tripanel.oracle import adaptive_triangle, duffy_integrate, flat_panel_oracle
 from tripanel.panel_integrals import (
     MONOMIALS,
@@ -457,6 +458,71 @@ def test_k_near_edge_matches_van_oosterom_strackee(verts, c):
     x = (0.0, 0.0, c)
     ref = vos_k_unit_density(verts, x)
     val = integrate_k_panel(panel, Target(x, n=panel.normal))
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def _near_vertex_case(rng, k):
+    """A panel of diameter ~1e-2 on the unit sphere near its north pole,
+    shifted so the pole is the origin, and a target whose foot lies
+    1e-12..1e-8 from vertex k, 1e-9..1e-2 above or below the panel."""
+    while True:
+        xy = rng.uniform(-0.01, 0.01, size=(3, 2))
+        verts = np.column_stack([xy, np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0])
+        try:
+            panel = Panel(*verts)
+        except DegenerateTriangle:
+            continue
+        t1, t2 = rotation_to_z(panel.normal)[:2]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        offset = 10.0 ** rng.uniform(-12.0, -8.0) * (math.cos(angle) * t1
+                                                    + math.sin(angle) * t2)
+        height = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -2.0)
+        # the feet whose distance to an edge line through the vertex is
+        # within 2e-14 of zero or of the vertex distance meet the absolute
+        # 1e-14 floors of geometry.roundoff_floor and radial_kernels._CLAMP;
+        # test_k_near_vertex_at_the_absolute_floors holds those
+        gaps = []
+        for j in ((k + 1) % 3, (k + 2) % 3):
+            edge = (verts[j] - verts[k]) / np.linalg.norm(verts[j] - verts[k])
+            d = np.linalg.norm(np.cross(offset, edge))
+            gaps += [d, np.linalg.norm(offset) - d]
+        if min(gaps) > 2e-14:
+            return panel, verts[k] + offset + height * panel.normal
+
+
+def test_k_near_vertex_matches_van_oosterom_strackee():
+    # the frame is built from v - x, so the foot-to-vertex offset is kept
+    # to its own roundoff rather than that of |v|
+    rng = np.random.default_rng(1983)
+    worst = 0.0
+    for case in range(60):
+        panel, x = _near_vertex_case(rng, case % 3)
+        ref = vos_k_unit_density(panel.verts, x)
+        val = integrate_k_panel(panel, Target(x, n=panel.normal))
+        worst = max(worst, abs(val - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+def _vertex_fan(r0, heading):
+    """A 60-degree corner of 1e-2 edges at (r0, 0, 0), the first edge
+    leaving at angle `heading`."""
+    v0 = np.array([r0, 0.0, 0.0])
+    return np.array([v0] + [v0 + 1e-2 * np.array([math.cos(a), math.sin(a), 0.0])
+                            for a in (heading, heading + math.pi / 3.0)])
+
+
+@pytest.mark.xfail(strict=True, reason="absolute 1e-14 floors on a 1e-2 panel: "
+                   "critical_radii merges the vertex radius into a foot distance "
+                   "5e-15 below it, and radial_kernels._CLAMP snaps an edge-line "
+                   "distance of 8e-15 to 0 (errors 4.9e-10 and 7.6e-8)")
+@pytest.mark.parametrize("verts, c", [
+    (_vertex_fan(1e-11, 0.5 * math.pi + math.sqrt(1e-3)), 1e-9),
+    (_vertex_fan(1e-11, 8e-4), 1e-7),
+], ids=["radius_gap_5e-15", "edge_line_8e-15"])
+def test_k_near_vertex_at_the_absolute_floors(verts, c):
+    x = (0.0, 0.0, c)
+    ref = vos_k_unit_density(verts, x)
+    val = integrate_k_panel(Panel(*verts), Target(x, n=(0.0, 0.0, 1.0)))
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
