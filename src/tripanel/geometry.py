@@ -6,6 +6,9 @@ that plane is then decomposed, in polar coordinates about the origin, into
 radial slabs bounded by consecutive critical radii; inside a slab the angular
 cross-section is either the full circle or a fixed list of arcs whose
 endpoint angles follow theta(r) = sign*arccos(d/r) + phi along the edges.
+The planar work runs on Python floats, points as (x, y) pairs, and
+decompose_polar reads the critical radii and the crossings from one edge
+table per triangle.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +33,8 @@ def roundoff_floor(r_max: float) -> float:
 
 
 def _cross2(u, v):
-    """z-component of the planar cross product, elementwise over leading axes.
-
-    Indexing the transposes keeps single 2-vectors on numpy's scalar
-    arithmetic (u[..., 0] would make 0-d arrays, several times slower).
-    """
+    """z-component of the planar cross product, elementwise over leading
+    axes of numpy arrays (the vertex path of qsa)."""
     u, v = u.T, v.T
     return (u[0] * v[1] - u[1] * v[0]).T
 
@@ -42,24 +43,23 @@ class Panel:
     """Flat triangle in 3D with its geometric (right-hand) unit normal."""
 
     def __init__(self, v1, v2, v3):
-        self.v1 = np.asarray(v1, dtype=float)
-        self.v2 = np.asarray(v2, dtype=float)
-        self.v3 = np.asarray(v3, dtype=float)
-        cr = np.cross(self.v2 - self.v1, self.v3 - self.v1)
-        nc = np.linalg.norm(cr)
-        scale = max(np.linalg.norm(self.v2 - self.v1),
-                    np.linalg.norm(self.v3 - self.v1),
-                    np.linalg.norm(self.v3 - self.v2))
+        self.verts = np.array([v1, v2, v3], dtype=float)  # (3, 3), rows v1..v3
+        self.v1, self.v2, self.v3 = self.verts
+        a, b, c = self.verts.tolist()
+        ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+        wx, wy, wz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+        cr = (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
+        nc = math.hypot(*cr)
+        scale = max(math.dist(a, b), math.dist(a, c), math.dist(b, c))
         if nc <= 1e-14 * scale * scale:
             raise DegenerateTriangle("panel has (numerically) zero area")
-        self.normal = cr / nc
+        self.normal = np.array([cr[0] / nc, cr[1] / nc, cr[2] / nc])
         self.area = 0.5 * nc
-        self.centroid = (self.v1 + self.v2 + self.v3) / 3.0
         self.diameter = scale
 
     @property
-    def verts(self):
-        return np.stack([self.v1, self.v2, self.v3])
+    def centroid(self):
+        return self.verts.mean(axis=0)
 
     def __repr__(self):
         return f"Panel({self.v1.tolist()}, {self.v2.tolist()}, {self.v3.tolist()})"
@@ -108,22 +108,27 @@ def orient_planar(p1, p2, p3) -> "PlanarTriangle":
     Ties on the norm are broken by lowest original index, so the result is
     deterministic for symmetric inputs.
     """
-    pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
-    cross = float(_cross2(pts[1] - pts[0], pts[2] - pts[0]))
-    scale = max(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(pts[2] - pts[0]), 1e-300)
+    pts = [(float(p[0]), float(p[1])) for p in (p1, p2, p3)]
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    scale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0), 1e-300)
     if abs(cross) <= 1e-14 * scale * scale:
         raise DegenerateTriangle("planar triangle has (numerically) zero area")
     if cross < 0.0:
         pts[1], pts[2] = pts[2], pts[1]
-    start = min(range(3), key=lambda i: (np.linalg.norm(pts[i]), i))
-    pts = pts[start:] + pts[:start]
-    return PlanarTriangle(np.stack(pts))
+    norms = [math.hypot(x, y) for x, y in pts]
+    start = norms.index(min(norms))
+    return PlanarTriangle(pts[start:] + pts[:start])
 
 
 class EdgeActivity(IntEnum):
     INACTIVE = -1
     SPLIT = 0
     ACTIVE = 1
+
+
+# an edge's activity by the number of its circle crossings
+_ACTIVITY = (int(EdgeActivity.INACTIVE), int(EdgeActivity.ACTIVE), int(EdgeActivity.SPLIT))
 
 
 @dataclass
@@ -143,25 +148,26 @@ class EdgeGeometry:
     t_foot: float
     norm_a: float
     norm_b: float
-    foot: np.ndarray
+    foot: tuple[float, float]
 
 
 def _edge_geometry_one(a, b) -> EdgeGeometry:
-    e = b - a
-    l2 = float(e @ e)
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    l2 = ex * ex + ey * ey
     l = math.sqrt(l2)
-    t_f = -float(a @ e) / l2
-    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    t_f = -(ax * ex + ay * ey) / l2
+    norm_a, norm_b = math.hypot(ax, ay), math.hypot(bx, by)
     u_a = -t_f * l
     u_b = (1.0 - t_f) * l
     # the foot is perpendicular to the edge: foot = q * perp(e)/l with
     # q = cross(e, a)/l = cross(e, b)/l, which keeps d and phi stable even
     # when the edge line passes very close to the origin (a + t_f*e would
     # cancel there); the nearer endpoint keeps q's roundoff at eps*|near|
-    near = a if norm_a <= norm_b else b
-    q = float(_cross2(e, near)) / l
+    nx, ny = (ax, ay) if norm_a <= norm_b else (bx, by)
+    q = (ex * ny - ey * nx) / l
     d = abs(q)
-    foot = (q / l) * np.array([-e[1], e[0]])
+    foot = (q / l * -ey, q / l * ex)
     if d <= 1e-14 * min(norm_a, norm_b):
         # edge line passes through the origin: the foot angle is undefined,
         # so anchor phi on the farther endpoint T, theta_T = psi_T exactly.
@@ -169,7 +175,7 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
         # line merely close to the origin keeps its d and phi, else the
         # near endpoint's angle would be off by about d / |near|
         d = 0.0
-        foot = np.zeros(2)
+        foot = (0.0, 0.0)
         ori = 1
         if abs(u_a) >= abs(u_b):
             t_pt, u_t = a, u_a
@@ -182,7 +188,7 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
             phi -= 2.0 * math.pi
     else:
         s = 1.0 if q > 0 else -1.0
-        phi = math.atan2(s * e[0], -s * e[1])
+        phi = math.atan2(s * ex, -s * ey)
         ori = 1 if q < 0.0 else -1
     if abs(u_a) > 1e-14 * math.sqrt(l2):
         sign_first = ori * (1 if u_a > 0 else -1)
@@ -194,24 +200,28 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
 
 
 class PlanarTriangle:
-    """Positively oriented 2D triangle with vertex 1 nearest the origin."""
+    """Positively oriented 2D triangle with vertex 1 nearest the origin;
+    pts are its vertices as (x, y) float pairs, verts as a (3, 2) array."""
 
     def __init__(self, verts):
-        self.verts = np.asarray(verts, dtype=float).reshape(3, 2)
-        e1 = self.verts[1] - self.verts[0]
-        e2 = self.verts[2] - self.verts[0]
-        self.area = 0.5 * float(_cross2(e1, e2))
+        self.pts = tuple((float(x), float(y)) for x, y in verts)
+        (x0, y0), (x1, y1), (x2, y2) = self.pts
+        self.area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
         if self.area <= 0.0:
             raise DegenerateTriangle("planar triangle must be positively oriented; "
                                      "build it with orient_planar")
 
+    @cached_property
+    def verts(self):
+        return np.array(self.pts)
+
     def edges(self):
         """The three directed edges (A, B): vertices 0-1, 1-2 and 2-0."""
-        v = self.verts
+        v = self.pts
         return [(v[0], v[1]), (v[1], v[2]), (v[2], v[0])]
 
     def __repr__(self):
-        return f"PlanarTriangle({self.verts.tolist()})"
+        return f"PlanarTriangle({[list(p) for p in self.pts]})"
 
 
 def edge_geometry(tri: PlanarTriangle) -> list[EdgeGeometry]:
@@ -225,9 +235,9 @@ class NormalizedFrame:
     rotation: np.ndarray
     translation: np.ndarray
     c: float
-    planar_points: np.ndarray      # mapped panel vertices, input order, (3, 2)
+    planar_points: tuple           # mapped panel vertices, input order, (x, y) pairs
     planar_triangle: PlanarTriangle
-    rotated_target_normal: np.ndarray | None
+    rotated_target_normal: tuple | None
 
     def map_point(self, y):
         return self.rotation @ np.asarray(y, dtype=float) + self.translation
@@ -241,28 +251,42 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
     v - x, and c is taken at the vertex nearest x, so the offset of a target
     close to a vertex carries its own roundoff, not the roundoff of |v|.
     """
-    x = target.x
-    n = panel.normal
-    rel = panel.verts - x
-    c = -float(n @ rel[np.argmin((rel * rel).sum(axis=1))])
-    rot = rotation_to_z(n)
-    trans = -rot @ (x - c * n)
-    planar = (rel @ rot.T)[:, :2]
-    tri = orient_planar(planar[0], planar[1], planar[2])
-    rn = None if target.n is None else rot @ target.n
-    return NormalizedFrame(rotation=rot, translation=trans, c=c,
-                           planar_points=planar, planar_triangle=tri,
+    x, n = target.x.tolist(), panel.normal.tolist()
+    verts = panel.verts.tolist()
+    rel = [(v[0] - x[0], v[1] - x[1], v[2] - x[2]) for v in verts]
+    c = -_dot3(n, min(rel, key=lambda w: _dot3(w, w)))
+    rot = rotation_to_z(panel.normal)
+    rows = rot.tolist()
+    planar = _project(verts, x, rows)
+    tn = None if target.n is None else target.n.tolist()
+    rn = None if tn is None else (_dot3(rows[0], tn), _dot3(rows[1], tn), _dot3(rows[2], tn))
+    return NormalizedFrame(rotation=rot, translation=-rot @ (target.x - c * panel.normal),
+                           c=c, planar_points=planar, planar_triangle=orient_planar(*planar),
                            rotated_target_normal=rn)
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _project(verts, origin, rows):
+    """(rows[0].(v - origin), rows[1].(v - origin)) for each vertex v, as
+    float pairs: the planar vertices in a frame with those first two rows."""
+    ox, oy, oz = origin
+    e1, e2 = rows[0], rows[1]
+    return tuple((_dot3(e1, w), _dot3(e2, w))
+                 for w in [(v[0] - ox, v[1] - oy, v[2] - oz) for v in verts])
 
 
 def point_in_triangle(p, tri, tol: float = 1e-12) -> bool:
     """Closed inside test: points on the boundary count as inside."""
-    verts = tri.verts if isinstance(tri, PlanarTriangle) else np.asarray(tri, dtype=float)
-    p = np.asarray(p, dtype=float)
-    scale = max(float(np.max(np.abs(verts))), 1.0)
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        if float(_cross2(b - a, p - a)) < -tol * scale * scale:
+    pts = tri.pts if isinstance(tri, PlanarTriangle) else \
+        np.asarray(tri, dtype=float).reshape(3, 2).tolist()
+    px, py = float(p[0]), float(p[1])
+    scale = max(1.0, *(abs(v) for pt in pts for v in pt))
+    lim = -tol * scale * scale
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < lim:
             return False
     return True
 
@@ -276,10 +300,13 @@ def critical_radii(tri: PlanarTriangle) -> list[float]:
     relative to the radius, so 0 and 1e-12 stay two radii on a unit panel,
     and the floor merges radii that are zero up to roundoff.
     """
-    radii = [float(np.linalg.norm(v)) for v in tri.verts]
-    for eg in edge_geometry(tri):
-        if eg.foot_on_edge:
-            radii.append(eg.d)
+    return _merged_radii(edge_geometry(tri))
+
+
+def _merged_radii(egs: list[EdgeGeometry]) -> list[float]:
+    """critical_radii from the triangle's edge table."""
+    radii = [eg.norm_a for eg in egs]  # edge k starts at vertex k
+    radii += [eg.d for eg in egs if eg.foot_on_edge]
     radii.sort()
     floor = roundoff_floor(radii[-1])
     out = [radii[0]]
@@ -382,33 +409,33 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     the smallest critical radius is already zero up to roundoff_floor.
     """
     egs = edge_geometry(tri)
-    radii = critical_radii(tri)
-    bounds = list(radii)
-    if point_in_triangle(np.zeros(2), tri) and bounds[0] > roundoff_floor(radii[-1]):
+    bounds = _merged_radii(egs)
+    if bounds[0] > roundoff_floor(bounds[-1]) and point_in_triangle((0.0, 0.0), tri):
         bounds.insert(0, 0.0)
 
-    centroid = tri.verts.mean(axis=0)
-    ref_dir = centroid / np.linalg.norm(centroid) if np.linalg.norm(centroid) > 1e-14 \
-        else np.array([1.0, 0.0])
+    (x0, y0), (x1, y1), (x2, y2) = tri.pts
+    cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+    cn = math.hypot(cx, cy)
+    ref_x, ref_y = (cx / cn, cy / cn) if cn > 1e-14 else (1.0, 0.0)
+    # the boundary of each edge side (u < 0, u > 0), shared by every slab
+    sides_of = [(AngleBoundary(-eg.ori, eg.d, eg.phi, k), AngleBoundary(eg.ori, eg.d, eg.phi, k))
+                for k, eg in enumerate(egs)]
 
     slabs = []
     for r_lo, r_hi in zip(bounds[:-1], bounds[1:]):
         r_mid = 0.5 * (r_lo + r_hi)
         boundaries = []  # (theta_mid_raw, is_start, AngleBoundary)
         activity = []
-        for k, eg in enumerate(egs):
+        for eg, side_bnds in zip(egs, sides_of):
             sides = _crossing_sides(eg, r_mid)
-            activity.append(EdgeActivity.SPLIT if len(sides) == 2
-                            else EdgeActivity.ACTIVE if len(sides) == 1
-                            else EdgeActivity.INACTIVE)
+            activity.append(_ACTIVITY[len(sides)])
             for s in sides:
-                ab = AngleBoundary(sign=eg.ori * s, d=eg.d, phi=eg.phi, edge=k)
+                ab = side_bnds[s > 0]
                 boundaries.append((ab.theta(r_mid), s > 0, ab))
-        activity = tuple(int(a) for a in activity)
+        activity = tuple(activity)
 
         if not boundaries:
-            probe = r_mid * ref_dir
-            if point_in_triangle(probe, tri, tol=0.0):
+            if point_in_triangle((r_mid * ref_x, r_mid * ref_y), tri, tol=0.0):
                 slabs.append(PolarSlab(r_lo, r_hi, None, activity))
             continue
 

@@ -20,13 +20,17 @@ import numpy as np
 
 from .errors import DivergentIntegral
 from .geometry import PolarDecomposition, decompose_polar, normalize_frame, roundoff_floor
-from .radial_kernels import RadialKind, definite_radial
+from .radial_kernels import J1, J2, J3, R1, R2, R3, R4, R5, R6cubic, definite_radials
+# a panel_integrals attribute that bench/layers.py traces; the moments
+# evaluate every kind of a boundary at once through definite_radials
+from .radial_kernels import definite_radial  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
 
 # Monomial exponent pairs (a, b) for s1^a s2^b, by total degree.
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3))
+_G_SLAB, _G_EDGE = (J1,), (J2, J3)  # the radial kinds of the 1/dist moments
 
 
 class MomentSet(dict):
@@ -42,8 +46,22 @@ def _snap_height(c: float, dec: PolarDecomposition) -> float:
     return 0.0 if abs(c) <= roundoff_floor(dec.slabs[-1].r_hi) else float(c)
 
 
-def _d(kind, r_lo, r_hi, c, d=0.0):
-    return definite_radial(kind, r_lo, r_hi, c, d)
+def _k_radial_kinds(min_degree: int, max_degree: int):
+    """The radial kinds a slab (d = 0) and an edge boundary need for the
+    1/dist^3 moments of degrees min_degree..max_degree; R2, last, only
+    for the degree-0 moment."""
+    return ((R1, R4, J1)[:max(1, max_degree)],
+            (R3, R5, J3, R6cubic)[:max_degree + (max_degree == 3)]
+            + ((R2,) if min_degree == 0 else ()))
+
+
+def _radials(kinds, r_lo, r_hi, c, d):
+    """definite_radials, with a leading R1 or R3 taken as infinite where
+    it diverges (c = 0 with the interval reaching r = 0): every use of
+    it then carries a d = 0 or c = 0 coefficient, so it is never touched."""
+    if c == 0.0 and r_lo == 0.0 and (kinds[0] is R1 or kinds[0] is R3):
+        return [math.inf] + definite_radials(kinds[1:], r_lo, r_hi, c, d)
+    return definite_radials(kinds, r_lo, r_hi, c, d)
 
 
 def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
@@ -66,60 +84,57 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
         raise DivergentIntegral(
             "1/dist^3 moments below degree 2 diverge for a coplanar "
             "target on the triangle")
-    m = MomentSet.fromkeys(MONOMIALS, 0.0)
+    slab_kinds, edge_kinds = _k_radial_kinds(min_degree, max_degree)
+    m00 = m10 = m01 = m20 = m11 = m02 = m30 = m21 = m12 = m03 = 0.0
     for slab in dec.slabs:
         r0, r1 = slab.r_lo, slab.r_hi
+        radial = _radials(slab_kinds, r0, r1, c, 0.0)
+        dR1 = radial[0]
+        dR4 = radial[1] if max_degree >= 2 else 0.0
+        dJ1 = radial[2] if max_degree >= 3 else 0.0
         if slab.full_circle:
             if min_degree == 0:
-                m[0, 0] += 2.0 * math.pi * _d(RadialKind.R1, r0, r1, c)
+                m00 += 2.0 * math.pi * dR1
             if max_degree >= 2 and min_degree <= 2:
-                half = math.pi * _d(RadialKind.R4, r0, r1, c)
-                m[2, 0] += half
-                m[0, 2] += half
+                half = math.pi * dR4
+                m20 += half
+                m02 += half
             # odd angular moments vanish over the full circle
             continue
-        # the bare R1 integral diverges at c = 0 from r = 0; every use
-        # below then carries a d = 0 coefficient, so it is never touched
-        dR1 = _d(RadialKind.R1, r0, r1, c) if (c != 0.0 or r0 > 0.0) else math.inf
-        dR4 = _d(RadialKind.R4, r0, r1, c) if max_degree >= 2 else 0.0
-        dJ1 = _d(RadialKind.J1, r0, r1, c) if max_degree >= 3 else 0.0
         for seg in slab.segments:
             if min_degree == 0:
-                m[0, 0] += seg.dphi * dR1
+                m00 += seg.dphi * dR1
             if max_degree >= 2 and min_degree <= 2:
-                m[2, 0] += 0.5 * seg.dphi * dR4
-                m[0, 2] += 0.5 * seg.dphi * dR4
+                m20 += 0.5 * seg.dphi * dR4
+                m02 += 0.5 * seg.dphi * dR4
             for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
                 d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
                 lo = max(r0, d)  # r0 >= d up to merge rounding
+                radial = _radials(edge_kinds, lo, r1, c, d)
                 sin_p, cos_p = math.sin(phi), math.cos(phi)
                 if min_degree == 0:
-                    m[0, 0] += sigma * sgn * _d(RadialKind.R2, lo, r1, c, d)
+                    m00 += sigma * sgn * radial[-1]
                 if max_degree < 1:
                     continue
-                # R3 diverges only when both c = 0 and the integration
-                # reaches r = 0; with d > 0 the lower limit is positive
-                dR3 = (_d(RadialKind.R3, lo, r1, c, d)
-                       if (c != 0.0 or lo > 0.0) else math.inf)
+                dR3 = radial[0]
                 if min_degree <= 1:
-                    m[1, 0] += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
-                    m[0, 1] += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
+                    m10 += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
+                    m01 += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
                 if max_degree < 2:
                     continue
                 sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
-                dR5 = _d(RadialKind.R5, lo, r1, c, d)
+                dR5 = radial[1]
                 edge_part = (0.5 * d * d * sin2 * dR1
                              + 0.5 * sgn * d * cos2 * dR3) if d != 0.0 else 0.0
-                m[2, 0] += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
-                m[0, 2] += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
-                m[1, 1] += sigma * (-0.5 * sin_p * sin_p * dR4
-                                    + ((-0.5 * d * d * cos2 * dR1
-                                        + 0.5 * sgn * d * sin2 * dR3)
-                                       if d != 0.0 else 0.0))
+                m20 += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
+                m02 += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
+                m11 += sigma * (-0.5 * sin_p * sin_p * dR4
+                                + ((-0.5 * d * d * cos2 * dR1
+                                    + 0.5 * sgn * d * sin2 * dR3)
+                                   if d != 0.0 else 0.0))
                 if max_degree < 3:
                     continue
-                dJ3 = _d(RadialKind.J3, lo, r1, c, d)
-                dR6 = _d(RadialKind.R6cubic, lo, r1, c, d)
+                dJ3, dR6 = radial[2], radial[3]
                 # dT integrates Q r^3 / S^3, dU integrates Q^2 r / S^3
                 dT = dJ3 - c * c * dR3 if c != 0.0 else dJ3
                 if d != 0.0:
@@ -135,11 +150,12 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
                 else:
                     fB = sgn * cos_p ** 3 * dR6 / 3.0
                     fBp = -sgn * sin_p ** 3 * dR6 / 3.0
-                m[3, 0] += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
-                m[1, 2] += sigma * fB
-                m[2, 1] += sigma * (-fBp)
-                m[0, 3] += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
-    return m
+                m30 += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
+                m12 += sigma * fB
+                m21 += sigma * (-fBp)
+                m03 += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
+    return MomentSet(zip(MONOMIALS, (m00, m10, m01, m20, m11, m02,
+                                     m30, m21, m12, m03)))
 
 
 def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, float]:
@@ -148,7 +164,7 @@ def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, 
     j0 = jx = jy = 0.0
     for slab in dec.slabs:
         r0, r1 = slab.r_lo, slab.r_hi
-        dJ1 = _d(RadialKind.J1, r0, r1, c)
+        dJ1 = definite_radials(_G_SLAB, r0, r1, c, 0.0)[0]
         if slab.full_circle:
             j0 += 2.0 * math.pi * dJ1
             continue
@@ -158,8 +174,8 @@ def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, 
                 d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
                 lo = max(r0, d)
                 sin_p, cos_p = math.sin(phi), math.cos(phi)
-                j0 += sigma * sgn * _d(RadialKind.J2, lo, r1, c, d)
-                dJ3 = _d(RadialKind.J3, lo, r1, c, d)
+                dJ2, dJ3 = definite_radials(_G_EDGE, lo, r1, c, d)
+                j0 += sigma * sgn * dJ2
                 jx += sigma * (d * sin_p * dJ1 + sgn * cos_p * dJ3)
                 jy += sigma * (-d * cos_p * dJ1 + sgn * sin_p * dJ3)
     return j0, jx, jy
@@ -216,17 +232,26 @@ class PanelPolynomial:
     def monomial_coeffs(self, planar_pts) -> dict:
         """Coefficients on s1^a s2^b in a planar frame.
 
-        planar_pts holds the (3, 2) planar vertex positions in the vertex
-        order of the barycentric form.  Returns {(a, b): coeff} for all six
-        monomials of degree <= 2; entries above the declared degree are
-        exactly zero.
+        planar_pts holds the three planar vertex positions (a (3, 2) array
+        or (x, y) pairs) in the vertex order of the barycentric form.
+        Returns {(a, b): coeff} for all six monomials of degree <= 2;
+        entries above the declared degree are exactly zero.
         """
-        pts = np.asarray(planar_pts, dtype=float)
-        mat = np.vstack([pts.T, np.ones(3)])  # maps lam -> (s1, s2, 1)
-        aff = np.linalg.inv(mat)              # maps (s1, s2, 1) -> lam
-        cp = aff.T @ self.form @ aff
-        coeffs = {(0, 0): cp[2, 2], (1, 0): 2.0 * cp[0, 2], (0, 1): 2.0 * cp[1, 2],
-                  (2, 0): cp[0, 0], (1, 1): 2.0 * cp[0, 1], (0, 2): cp[1, 1]}
+        (x0, y0), (x1, y1), (x2, y2) = planar_pts
+        # lam_i = (a_i s1 + b_i s2 + z_i) / det: the cofactors of the map
+        # lam -> (s1, s2, 1), by the edge opposite each vertex
+        det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        cof = ((y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0),
+               (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0))
+        aff = [[v / det for v in col] for col in cof]  # columns of the inverse
+        form = self.form.tolist()
+        fa = [[f[0] * col[0] + f[1] * col[1] + f[2] * col[2] for f in form] for col in aff]
+
+        def cp(i, j):
+            return aff[i][0] * fa[j][0] + aff[i][1] * fa[j][1] + aff[i][2] * fa[j][2]
+
+        coeffs = {(0, 0): cp(2, 2), (1, 0): 2.0 * cp(0, 2), (0, 1): 2.0 * cp(1, 2),
+                  (2, 0): cp(0, 0), (1, 1): 2.0 * cp(0, 1), (0, 2): cp(1, 1)}
         for (a, b) in coeffs:
             if a + b > self.degree:
                 coeffs[(a, b)] = 0.0

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
-from .geometry import Panel, _cross2, decompose_polar, orient_planar, rotation_to_z
+from .geometry import Panel, _cross2, _project, decompose_polar, orient_planar, rotation_to_z
 from .panel_integrals import (FOUR_PI, PanelPolynomial, _densities, _k_coeffs,
                               _k_contract, _shaped)
 # a qsa attribute that bench/layers.py traces; the moments are computed
@@ -65,10 +65,8 @@ def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
                                   np.asarray(form.basis, dtype=float)[None], densities)
             return _shaped(out[0], many)
     rot = rotation_to_z(np.asarray(target.n, dtype=float))
-    proj = (verts - x) @ rot.T
-    proj = proj[:, :2]
-    tri = orient_planar(proj[0], proj[1], proj[2])
-    dec = decompose_polar(tri)
+    proj = _project(verts.tolist(), x.tolist(), rot.tolist())
+    dec = decompose_polar(orient_planar(*proj))
     kmat = form.express_in(rot[:2]).matrix
     coefs = [_k_coeffs(h.monomial_coeffs(proj), 0.0, _ON_SURFACE_NU, kmat)
              for h in densities]
@@ -233,9 +231,8 @@ def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
     normal = np.cross(b1, b2)
     rot = np.array([b1, b2, normal / np.linalg.norm(normal)])
     foot = np.asarray(target.x, dtype=float) - c * rot[2]
-    proj = ((panel.verts - foot) @ rot.T)[:, :2]
-    tri = orient_planar(proj[0], proj[1], proj[2])
-    dec = decompose_polar(tri)
+    proj = _project(panel.verts.tolist(), foot.tolist(), rot.tolist())
+    dec = decompose_polar(orient_planar(*proj))
     nu = rot @ np.asarray(target.n, dtype=float)
     coefs = [_k_coeffs(h.monomial_coeffs(proj), c, nu, form.matrix)
              for h in densities]

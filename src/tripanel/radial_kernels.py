@@ -11,10 +11,14 @@ All primitives are evaluated in numerically stable rewrites: terms of the
 shape log((S+Q)/sqrt(c^2+d^2)) (= arctanh(Q/S)) go through log1p,
 arccos(d/r) is arctan2(Q, d), and arctan(c*q)/c uses a 4-term odd series
 when |c*q| is tiny.  r, c and d are Python floats and every primitive is
-plain `math`.  The one array function is `_atan_ratio`, the batch
-module's lane of arctan(c*q)/c; it shares the series with the float lane.
-The scalar API validates domains and raises DivergentIntegral where the
-antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
+plain `math`.  `definite_radials` checks a boundary (r_lo, r_hi, c, d)
+once and evaluates S, Q, the angle, the log and the arctan term once per
+endpoint for every kind requested; `definite_radial` and
+`radial_primitive` are its one-kind views, so each formula lives in one
+place (`_primitives`).  The one array function is `_atan_ratio`, the
+batch module's lane of arctan(c*q)/c; it shares the series with the
+float lane.  Domains are validated, and DivergentIntegral is raised where
+the antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
 """
 
 from __future__ import annotations
@@ -95,99 +99,72 @@ def _st_log(s, q, c, d):
 
 # ---------------------------------------------------------------- primitives
 
-def _p_r1(r, c, d):
+R1, R2, R3, R4, R5, R6cubic, J1, J2, J3 = RadialKind
+_DIVERGENT_AT_ZERO = (R1, R2, R3)
+
+
+def _primitives(kinds, r, c, d):
+    """Each kind's primitive at r (c, d prepared, r checked by _radius).
+
+    S, Q and the angle arccos(d/r) are evaluated once, the log term
+    log((S+Q)/h) and the arctan term arctan(c*Q/(d*S)) once on first use,
+    and every kind takes them from there.
+    """
     s, q = _sq(r, c, d)
-    return -1.0 / s
-
-
-def _p_r2(r, c, d):
-    s, q = _sq(r, c, d)
-    if d == 0.0:
-        return -HALF_PI / s
-    return -_acos_dr(q, d) / s + _atan_ratio_float(c, q / (d * s))
-
-
-def _p_r3(r, c, d):
-    s, q = _sq(r, c, d)
-    if c == 0.0 and d == 0.0:
-        return math.log(r)
-    return _st_log(s, q, c, d) - q / s
-
-
-def _p_r4(r, c, d):
-    if c == 0.0:
-        return r
-    s, q = _sq(r, c, d)
-    return s + c * c / s
-
-
-def _p_r5(r, c, d):
-    r4 = _p_r4(r, c, d)
-    if d == 0.0:
-        return HALF_PI * r4
-    s, q = _sq(r, c, d)
-    out = r4 * _acos_dr(q, d) - d * _st_log(s, q, c, d)
-    if c != 0.0:
-        out = out - 2.0 * c * math.atan(c * q / (d * s))
-    return out
-
-
-def _p_r6(r, c, d):
-    s, q = _sq(r, c, d)
-    out = q * (r * r + 2.0 * d * d + 3.0 * c * c) / (2.0 * (s if s > 0.0 else 1.0))
     h2 = c * c + d * d
-    if h2 != 0.0:
-        out = out - 1.5 * h2 * _st_log(s, q, c, d)
+    ac = _acos_dr(q, d)
+    lg = at = None
+    out = []
+    for kind in kinds:
+        if kind is R1:
+            v = -1.0 / s
+        elif kind is R2:
+            v = -ac / s
+            if d != 0.0:
+                v += _atan_ratio_float(c, q / (d * s))
+        elif kind is R3:
+            if h2 == 0.0:
+                v = math.log(r)
+            else:
+                lg = _st_log(s, q, c, d) if lg is None else lg
+                v = lg - q / s
+        elif kind is R6cubic:
+            v = q * (r * r + 2.0 * d * d + 3.0 * c * c) / (2.0 * (s if s > 0.0 else 1.0))
+            if h2 != 0.0:
+                lg = _st_log(s, q, c, d) if lg is None else lg
+                v -= 1.5 * h2 * lg
+        elif kind is J3:
+            v = 0.5 * s * q
+            if h2 != 0.0:
+                lg = _st_log(s, q, c, d) if lg is None else lg
+                v += 0.5 * h2 * (0.5 * math.log(h2) - lg)
+        else:
+            # R4 and J1; R5 and J2 are those times arccos(d/r), less the
+            # log and arctan terms of the edge line
+            v = s if kind is J1 or kind is J2 else r if c == 0.0 else s + c * c / s
+            if kind is R5 or kind is J2:
+                v *= ac
+                if d != 0.0:
+                    lg = _st_log(s, q, c, d) if lg is None else lg
+                    v -= d * lg
+                    if c != 0.0:
+                        at = math.atan(c * q / (d * s)) if at is None else at
+                        v -= (2.0 * c if kind is R5 else c) * at
+        out.append(v)
     return out
 
 
-def _p_j1(r, c, d):
-    return _sq(r, c, d)[0]
-
-
-def _p_j2(r, c, d):
-    s, q = _sq(r, c, d)
-    if d == 0.0:
-        return HALF_PI * s
-    out = s * _acos_dr(q, d) - d * _st_log(s, q, c, d)
-    if c != 0.0:
-        out = out - c * math.atan(c * q / (d * s))
-    return out
-
-
-def _p_j3(r, c, d):
-    s, q = _sq(r, c, d)
-    out = 0.5 * s * q
-    h2 = c * c + d * d
-    if h2 != 0.0:
-        out = out + 0.5 * h2 * (0.5 * math.log(h2) - _st_log(s, q, c, d))
-    return out
-
-
-_PRIMS = {
-    RadialKind.R1: _p_r1,
-    RadialKind.R2: _p_r2,
-    RadialKind.R3: _p_r3,
-    RadialKind.R4: _p_r4,
-    RadialKind.R5: _p_r5,
-    RadialKind.R6cubic: _p_r6,
-    RadialKind.J1: _p_j1,
-    RadialKind.J2: _p_j2,
-    RadialKind.J3: _p_j3,
-}
-
-_DIVERGENT_AT_ZERO = {RadialKind.R1, RadialKind.R2, RadialKind.R3}
-
-
-def _prepare(kind, c, d):
-    """The kind as a RadialKind, and |c|, d snapped to 0 below 1e-14."""
-    if type(kind) is not RadialKind:
-        kind = RadialKind(kind)
+def _prepare(c, d):
+    """|c| and d snapped to 0 below 1e-14."""
     c, d = abs(float(c)), abs(float(d))  # the sign of c never matters
-    return kind, (0.0 if c < _CLAMP else c), (0.0 if d < _CLAMP else d)
+    return (0.0 if c < _CLAMP else c), (0.0 if d < _CLAMP else d)
 
 
-def _radius(kind: RadialKind, r: float, c: float, d: float) -> float:
+def _kind(kind) -> RadialKind:
+    return kind if type(kind) is RadialKind else RadialKind(kind)
+
+
+def _radius(kinds, r: float, c: float, d: float) -> float:
     """r checked against the prepared c and d, and raised to d if just below."""
     r = float(r)
     if r < 0.0:
@@ -195,11 +172,30 @@ def _radius(kind: RadialKind, r: float, c: float, d: float) -> float:
     if r < d * (1.0 - 1e-12):
         raise ValueError(f"radius {r!r} below foot distance {d!r}")
     r = max(r, d)
-    if c == 0.0 and r * r == 0.0 and kind in _DIVERGENT_AT_ZERO:  # S = 0
-        raise DivergentIntegral(
-            f"{kind.value} primitive is -infinity at r=0 with c=0 "
-            "(target on the open panel)")
+    if c == 0.0 and r * r == 0.0:  # S = 0
+        for kind in kinds:
+            if kind in _DIVERGENT_AT_ZERO:
+                raise DivergentIntegral(
+                    f"{kind.value} primitive is -infinity at r=0 with c=0 "
+                    "(target on the open panel)")
     return r
+
+
+def definite_radials(kinds, r_lo: float, r_hi: float, c: float, d: float) -> list:
+    """primitive(r_hi) - primitive(r_lo) of each kind in the tuple kinds.
+
+    The boundary (r_lo, r_hi, c, d) is checked once and each endpoint is
+    evaluated once for all kinds; the values equal definite_radial's,
+    which is this function on one kind.
+    """
+    if r_hi < r_lo:
+        raise ValueError(f"empty radial interval [{r_lo!r}, {r_hi!r}]")
+    if r_hi == r_lo:
+        return [0.0] * len(kinds)
+    c, d = _prepare(c, d)
+    hi = _primitives(kinds, _radius(kinds, r_hi, c, d), c, d)
+    lo = _primitives(kinds, _radius(kinds, r_lo, c, d), c, d)
+    return [a - b for a, b in zip(hi, lo)]
 
 
 def radial_primitive(kind: RadialKind, r: float, c: float, d: float) -> float:
@@ -209,21 +205,15 @@ def radial_primitive(kind: RadialKind, r: float, c: float, d: float) -> float:
     degenerate branches.  Raises DivergentIntegral where the primitive is
     -infinity (R1/R2/R3 at r=0 with c=0) and ValueError outside r >= d >= 0.
     """
-    kind, c, d = _prepare(kind, c, d)
-    return _PRIMS[kind](_radius(kind, r, c, d), c, d)
+    kinds = (_kind(kind),)
+    c, d = _prepare(c, d)
+    return _primitives(kinds, _radius(kinds, r, c, d), c, d)[0]
 
 
 def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,
                     c: float, d: float) -> float:
     """primitive(r_hi) - primitive(r_lo); propagates DivergentIntegral."""
-    if r_hi < r_lo:
-        raise ValueError(f"empty radial interval [{r_lo!r}, {r_hi!r}]")
-    if r_hi == r_lo:
-        return 0.0
-    kind, c, d = _prepare(kind, c, d)
-    prim = _PRIMS[kind]
-    hi = prim(_radius(kind, r_hi, c, d), c, d)
-    return hi - prim(_radius(kind, r_lo, c, d), c, d)
+    return definite_radials((_kind(kind),), r_lo, r_hi, c, d)[0]
 
 
 def radial_integrand(kind: RadialKind, r: float, c: float, d: float) -> float:

@@ -20,6 +20,7 @@ from tripanel.geometry import (
     orient_planar,
     point_in_triangle,
     rotation_to_z,
+    roundoff_floor,
 )
 
 # the worked decomposition example triangle
@@ -322,3 +323,26 @@ def test_decompose_rotation_invariant(t, alpha):
         assert s1.full_circle == s2.full_circle
         r = 0.5 * (s1.r_lo + s1.r_hi)
         assert s1.angular_measure(r) == pytest.approx(s2.angular_measure(r), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tri2d_strategy())
+@example(t=(-1.0, -1.0, 2.0, 0.0, 0.0, 2.0))   # origin inside
+@example(t=(-1.0, 0.0, 2.0, 0.0, 0.0, 3.0))    # origin on an edge
+@example(t=(0.0, 0.0, 2.0, 0.3, 0.5, 2.0))     # origin at a vertex
+@example(t=(2.0, 0.0, 3.0, 2.0, 4.0, -1.0))    # origin outside
+def test_slabs_are_consecutive_critical_radii(t):
+    # the merge rule lives in critical_radii alone: every slab spans two
+    # consecutive critical radii, or opens at r = 0 when the origin is in
+    # the closed triangle and the smallest radius is above roundoff
+    tri = orient_planar(t[0:2], t[2:4], t[4:6])
+    radii = critical_radii(tri)
+    opens_at_zero = (point_in_triangle((0.0, 0.0), tri)
+                     and radii[0] > roundoff_floor(radii[-1]))
+    bounds = [0.0] * opens_at_zero + radii
+    pairs = list(zip(bounds[:-1], bounds[1:]))
+    got = [(s.r_lo, s.r_hi) for s in decompose_polar(tri).slabs]
+    where = [pairs.index(p) for p in got]  # ValueError: not consecutive radii
+    assert where == sorted(set(where))
+    if opens_at_zero and point_in_triangle((0.0, 0.0), tri, tol=0.0):
+        assert got[0] == (0.0, radii[0])

@@ -303,3 +303,69 @@ def test_primitives_return_python_floats(kind):
         assert type(radial_primitive(kind.value, *args)) is float
         assert type(definite_radial(kind, args[0], 2.0 * args[0], *args[1:])) is float
     assert type(radial_integrand(kind, 1.3, 0.7, 0.4)) is float
+
+
+# ------------------------------- one formula per kind: the moments' kind sets
+
+def _moment_kind_sets():
+    """Every kind tuple the moment assembly evaluates at one boundary: K
+    at degrees 0..3 from degree 0, the QSA moments from degree 2, and G."""
+    from tripanel.panel_integrals import _G_EDGE, _G_SLAB, _k_radial_kinds
+
+    sets = {_G_SLAB, _G_EDGE}
+    for lo, hi in [(0, 0), (0, 1), (0, 2), (0, 3), (2, 2), (2, 3)]:
+        sets.update(_k_radial_kinds(lo, hi))
+    return sorted(sets, key=lambda ks: [k.value for k in ks])
+
+
+BOUNDARIES = {
+    **{f"regime_{k}": v for k, v in NEAR_SINGULAR_REGIMES.items()},
+    **{f"c_far_{k}": v for k, v in C_FAR.items()},
+    "d0": (0.3, 1.2, 0.5, 0.0),
+    "c0": (0.5, 1.2, 0.0, 0.4),
+    "c0_from_d": (0.4, 1.2, 0.0, 0.4),
+    "c0_d0": (0.3, 1.2, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("kinds", _moment_kind_sets(),
+                         ids=lambda ks: "-".join(k.value for k in ks))
+def test_boundary_evaluation_is_definite_radial_per_kind(kinds):
+    from tripanel.radial_kernels import definite_radials
+
+    for name, (r_lo, r_hi, c, d) in BOUNDARIES.items():
+        got = definite_radials(kinds, r_lo, r_hi, c, d)
+        want = [definite_radial(k, r_lo, r_hi, c, d) for k in kinds]
+        assert [type(v) for v in got] == [float] * len(kinds)
+        assert got == want, name
+
+
+FAILING_BOUNDARIES = {
+    "from_zero_c0_d0": (0.0, 1.0, 0.0, 0.0),        # R1/R2/R3 diverge
+    "underflow_c0_d0": (1e-170, 1.0, 0.0, 0.0),     # S underflows to 0
+    "below_foot": (0.3, 1.0, 0.5, 0.4),
+    "negative_radius": (-0.1, 1.0, 0.5, 0.0),
+    "empty_interval": (1.0, 0.5, 0.5, 0.0),
+    "from_zero_c_tiny": (0.0, 1.0, 0.9e-14, 0.0),   # c snaps to 0
+}
+
+
+@pytest.mark.parametrize("kinds", _moment_kind_sets(),
+                         ids=lambda ks: "-".join(k.value for k in ks))
+def test_boundary_evaluation_raises_where_one_kind_does(kinds):
+    from tripanel.radial_kernels import definite_radials
+
+    def outcome(fn):
+        try:
+            return fn()
+        except (DivergentIntegral, ValueError) as exc:
+            return type(exc)
+
+    for name, args in FAILING_BOUNDARIES.items():
+        each = [outcome(lambda k=k: definite_radial(k, *args)) for k in kinds]
+        raised = [o for o in each if isinstance(o, type)]
+        got = outcome(lambda: definite_radials(kinds, *args))
+        if raised:
+            assert got in raised and len(set(raised)) == 1, name
+        else:
+            assert got == each, name
