@@ -45,6 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .geometry import _dot3
 from .panel_integrals import FOUR_PI
 from .radial_kernels import _atan_ratio
 
@@ -102,11 +103,6 @@ def _panel_table(verts):
     return SimpleNamespace(n=n, t1=t1, t2=t2, v0=v0, loc=loc, edge=edge,
                            length=length, unit=edge / length,
                            hat_b=-opposite[1], hat_c=opposite[0], det=det)
-
-
-def _dot3(u, e):
-    """sum_k u[k] * e[k]: u three arrays broadcasting against e's (P,)."""
-    return u[0] * e[0] + u[1] * e[1] + u[2] * e[2]
 
 
 def _pair_geometry(x, verts, table):

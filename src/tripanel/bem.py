@@ -564,11 +564,14 @@ def torus_in_sphere_problem(subdivisions=4, n_u=48, n_v=24,
     return [sphere, torus], system, probes
 
 
-def export_solution(path, meshes, gamma, probes=None, u=None):
-    """JSON dump of the solved state: nodes, gamma, probe points, u."""
+def export_solution(path, meshes, gamma, probes=None, u=None, **summary):
+    """JSON dump of the solved state: the summary fields given (JSON
+    values, such as the run's settings and residual), then nodes, gamma,
+    probe points and u."""
     meshes = _as_mesh_list(meshes)
     nodes = np.concatenate([m.nodes for m in meshes])
     payload = {
+        **summary,
         "nodes": np.asarray(nodes, dtype=float).tolist(),
         "gamma": np.asarray(gamma, dtype=float).tolist(),
         "probes": [] if probes is None

@@ -21,6 +21,7 @@ from .bem import (
     SingularStrategy,
     assemble,
     evaluate_potential,
+    export_solution,
     identity_row_parts,
     nodal_areas,
     probe_forms,
@@ -357,21 +358,14 @@ def cmd_bem(args) -> int:
             for p, v in zip(pts, u)]
     _write_csv(args.out_csv, "bem-slice", ["x", "y", "z", "u"], rows)
 
-    doc = {
-        "bc": args.bc, "strategy": args.strategy, "residual": residual,
-        "n_nodes": int(system.n),
-        "nodes": np.concatenate([m.nodes for m in meshes]).tolist(),
-        "gamma": gamma.tolist(),
-        "probes": pts[ok].tolist(),
-        "u": u[ok].tolist(),
-    }
+    summary = {"bc": args.bc, "strategy": args.strategy, "residual": residual,
+               "n_nodes": int(system.n)}
     if t_probe is not None:
         diag = torus_flux_diagnostic(meshes, gamma, t_probe)
-        doc["torus_flux_ratio_max"] = float(diag["field_scale_ratio"].max())
+        summary["torus_flux_ratio_max"] = float(diag["field_scale_ratio"].max())
         print(f"torus orthogonality |grad u . n| / max|grad u|: "
-              f"max {doc['torus_flux_ratio_max']:.4f}")
-    with open(args.out_json, "w") as fh:
-        json.dump(doc, fh)
+              f"max {summary['torus_flux_ratio_max']:.4f}")
+    export_solution(args.out_json, meshes, gamma, pts[ok], u[ok], **summary)
     print(f"solved {system.n} unknowns, residual {residual:.2e}; "
           f"wrote {args.out_json} and {args.out_csv}")
     return 0

@@ -233,11 +233,16 @@ class NormalizedFrame:
     """Rigid motion y -> rotation @ y + translation placing a panel in z=0
     with the target at (0, 0, c)."""
     rotation: np.ndarray
-    translation: np.ndarray
     c: float
     planar_points: tuple           # mapped panel vertices, input order, (x, y) pairs
-    planar_triangle: PlanarTriangle
     rotated_target_normal: tuple | None
+    _x_and_normal: tuple = field(repr=False)  # target point, panel normal
+
+    @property
+    def translation(self) -> np.ndarray:
+        """Formed on use: the closed forms read only the planar data."""
+        x, normal = self._x_and_normal
+        return -self.rotation @ (x - self.c * normal)
 
     def map_point(self, y):
         return self.rotation @ np.asarray(y, dtype=float) + self.translation
@@ -260,12 +265,13 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
     planar = _project(verts, x, rows)
     tn = None if target.n is None else target.n.tolist()
     rn = None if tn is None else (_dot3(rows[0], tn), _dot3(rows[1], tn), _dot3(rows[2], tn))
-    return NormalizedFrame(rotation=rot, translation=-rot @ (target.x - c * panel.normal),
-                           c=c, planar_points=planar, planar_triangle=orient_planar(*planar),
-                           rotated_target_normal=rn)
+    return NormalizedFrame(rotation=rot, c=c, planar_points=planar, rotated_target_normal=rn,
+                           _x_and_normal=(target.x, panel.normal))
 
 
 def _dot3(u, v):
+    """u[0] v[0] + u[1] v[1] + u[2] v[2]: float triples here, stacks of
+    arrays broadcasting elementwise in the batch engine."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 

@@ -5,8 +5,10 @@ Assembles the radial primitives over a polar decomposition into moments
     I_{a,b} = int_T s1^a s2^b / (s1^2 + s2^2 + c^2)^(3/2) dS     (a + b <= 3)
     J_{a,b} = int_T s1^a s2^b / (s1^2 + s2^2 + c^2)^(1/2) dS     (a + b <= 1)
 
-over the planar triangle T of a normalized frame, then contracts them with
-the rotated target normal and a panel polynomial to evaluate
+over the planar triangle T of a normalized frame (one walk of the
+decomposition serves both: J is its degree <= 1 pass with the J radial
+kinds), then contracts them with the rotated target normal and a panel
+polynomial to evaluate
 
     int_panel K(x, y) p(y) dS,   K(x, y) = (x - y).n(x) / (4 pi |x - y|^3)
     int_panel G(x, y) p(y) dS,   G(x, y) = -1 / (4 pi |x - y|)
@@ -19,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import DivergentIntegral
-from .geometry import PolarDecomposition, decompose_polar, normalize_frame, roundoff_floor
+from .geometry import (PolarDecomposition, _dot3, decompose_polar, normalize_frame,
+                       orient_planar, roundoff_floor)
 from .radial_kernels import J1, J2, J3, R1, R2, R3, R4, R5, R6cubic, definite_radials
 # a panel_integrals attribute that bench/layers.py traces; the moments
 # evaluate every kind of a boundary at once through definite_radials
@@ -30,20 +33,24 @@ FOUR_PI = 4.0 * math.pi
 # Monomial exponent pairs (a, b) for s1^a s2^b, by total degree.
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3))
-_G_SLAB, _G_EDGE = (J1,), (J2, J3)  # the radial kinds of the 1/dist moments
-
-
-class MomentSet(dict):
-    """Moments of 1/dist^3 against s1^a s2^b, keyed by (a, b); 0.0 for the
-    degrees not computed."""
-
-    def k_moment(self, a: int, b: int) -> float:
-        return self[(a, b)]
+# the radial kinds of the 1/dist moments, in the places of R1 and (R3, R2)
+_G_SLAB, _G_EDGE = (J1,), (J3, J2)
+_ZERO_ABOVE_DEGREE_1 = (0.0,) * (len(MONOMIALS) - 3)
 
 
 def _snap_height(c: float, dec: PolarDecomposition) -> float:
     """Treat sub-roundoff heights as exactly coplanar."""
     return 0.0 if abs(c) <= roundoff_floor(dec.slabs[-1].r_hi) else float(c)
+
+
+def _check_coplanar(dec: PolarDecomposition, c: float, min_degree: int) -> None:
+    """The coplanar-divergence rule: with c = 0 (snapped) and the
+    decomposition starting at r = 0 (target on the closed triangle), the
+    1/dist^3 moments below degree 2 have non-integrable singularities."""
+    if min_degree < 2 and c == 0.0 and dec.slabs[0].r_lo == 0.0:
+        raise DivergentIntegral(
+            "1/dist^3 moments below degree 2 diverge for a coplanar target on "
+            "the panel; use the on-surface (curved) path")
 
 
 def _k_radial_kinds(min_degree: int, max_degree: int):
@@ -65,8 +72,9 @@ def _radials(kinds, r_lo, r_hi, c, d):
 
 
 def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
-                      min_degree: int = 0) -> MomentSet:
-    """Assemble the 1/dist^3 moments of total degree min_degree..max_degree.
+                      min_degree: int = 0) -> dict:
+    """The 1/dist^3 moments {(a, b): I_ab} of total degree
+    min_degree..max_degree; 0.0 for the degrees not computed.
 
     Raises DivergentIntegral when c = 0, the decomposition starts at r = 0
     (target in the triangle's plane, on the closed triangle), and moments
@@ -79,48 +87,62 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
     if min_degree not in (0, 1, 2, 3) or min_degree > max_degree:
         raise ValueError(f"min_degree must be in 0..max_degree, got {min_degree}")
     c = _snap_height(c, dec)
-    on_triangle = c == 0.0 and dec.slabs[0].r_lo == 0.0
-    if on_triangle and min_degree < 2:
-        raise DivergentIntegral(
-            "1/dist^3 moments below degree 2 diverge for a coplanar "
-            "target on the triangle")
-    slab_kinds, edge_kinds = _k_radial_kinds(min_degree, max_degree)
+    _check_coplanar(dec, c, min_degree)
+    return dict(zip(MONOMIALS, _moment_walk(
+        dec, c, min_degree, max_degree, *_k_radial_kinds(min_degree, max_degree))))
+
+
+def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, float]:
+    """The 1/dist moments (j0, jx, jy); finite for any target.
+
+    They are the degree 0..1 walk of compute_k_moments with J1, J3 and J2
+    in the places of R1, R3 and R2.
+    """
+    return _moment_walk(dec, _snap_height(c, dec), 0, 1, _G_SLAB, _G_EDGE)[:3]
+
+
+def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
+    """The moments of degrees min_degree..max_degree in MONOMIALS order
+    (0.0 for the others), summed over the slabs and the edge boundaries
+    of the decomposition from the radial kinds of each."""
+    radials = _radials if c == 0.0 else definite_radials  # R1, R3 finite at c != 0
+    deg0, deg1 = min_degree == 0, min_degree <= 1 <= max_degree
+    slab2 = max_degree >= 2 and min_degree <= 2  # the slab part of m20, m02
+    upto1 = max_degree <= 1
     m00 = m10 = m01 = m20 = m11 = m02 = m30 = m21 = m12 = m03 = 0.0
     for slab in dec.slabs:
         r0, r1 = slab.r_lo, slab.r_hi
-        radial = _radials(slab_kinds, r0, r1, c, 0.0)
+        radial = radials(slab_kinds, r0, r1, c, 0.0)
         dR1 = radial[0]
-        dR4 = radial[1] if max_degree >= 2 else 0.0
+        dR4 = 0.0 if upto1 else radial[1]
         dJ1 = radial[2] if max_degree >= 3 else 0.0
         if slab.full_circle:
-            if min_degree == 0:
+            if deg0:
                 m00 += 2.0 * math.pi * dR1
-            if max_degree >= 2 and min_degree <= 2:
+            if slab2:
                 half = math.pi * dR4
                 m20 += half
                 m02 += half
             # odd angular moments vanish over the full circle
             continue
         for seg in slab.segments:
-            if min_degree == 0:
+            if deg0:
                 m00 += seg.dphi * dR1
-            if max_degree >= 2 and min_degree <= 2:
+            if slab2:
                 m20 += 0.5 * seg.dphi * dR4
                 m02 += 0.5 * seg.dphi * dR4
             for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
                 d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
-                lo = max(r0, d)  # r0 >= d up to merge rounding
-                radial = _radials(edge_kinds, lo, r1, c, d)
+                lo = r0 if r0 >= d else d  # r0 >= d up to merge rounding
+                radial = radials(edge_kinds, lo, r1, c, d)
                 sin_p, cos_p = math.sin(phi), math.cos(phi)
-                if min_degree == 0:
+                if deg0:
                     m00 += sigma * sgn * radial[-1]
-                if max_degree < 1:
-                    continue
-                dR3 = radial[0]
-                if min_degree <= 1:
+                dR3 = radial[0]  # R2 at max_degree 0, unused there
+                if deg1:
                     m10 += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
                     m01 += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
-                if max_degree < 2:
+                if upto1:
                     continue
                 sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
                 dR5 = radial[1]
@@ -154,31 +176,7 @@ def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
                 m12 += sigma * fB
                 m21 += sigma * (-fBp)
                 m03 += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
-    return MomentSet(zip(MONOMIALS, (m00, m10, m01, m20, m11, m02,
-                                     m30, m21, m12, m03)))
-
-
-def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, float]:
-    """Assemble the 1/dist moments (j0, jx, jy); finite for any target."""
-    c = _snap_height(c, dec)
-    j0 = jx = jy = 0.0
-    for slab in dec.slabs:
-        r0, r1 = slab.r_lo, slab.r_hi
-        dJ1 = definite_radials(_G_SLAB, r0, r1, c, 0.0)[0]
-        if slab.full_circle:
-            j0 += 2.0 * math.pi * dJ1
-            continue
-        for seg in slab.segments:
-            j0 += seg.dphi * dJ1
-            for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
-                d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
-                lo = max(r0, d)
-                sin_p, cos_p = math.sin(phi), math.cos(phi)
-                dJ2, dJ3 = definite_radials(_G_EDGE, lo, r1, c, d)
-                j0 += sigma * sgn * dJ2
-                jx += sigma * (d * sin_p * dJ1 + sgn * cos_p * dJ3)
-                jy += sigma * (-d * cos_p * dJ1 + sgn * sin_p * dJ3)
-    return j0, jx, jy
+    return (m00, m10, m01, m20, m11, m02, m30, m21, m12, m03)
 
 
 class PanelPolynomial:
@@ -243,18 +241,23 @@ class PanelPolynomial:
         det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         cof = ((y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0),
                (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0))
-        aff = [[v / det for v in col] for col in cof]  # columns of the inverse
+        a, b, z = [[v / det for v in col] for col in cof]  # columns of the inverse
         form = self.form.tolist()
-        fa = [[f[0] * col[0] + f[1] * col[1] + f[2] * col[2] for f in form] for col in aff]
 
-        def cp(i, j):
-            return aff[i][0] * fa[j][0] + aff[i][1] * fa[j][1] + aff[i][2] * fa[j][2]
+        def form_times(u):
+            return [_dot3(f, u) for f in form]
 
-        coeffs = {(0, 0): cp(2, 2), (1, 0): 2.0 * cp(0, 2), (0, 1): 2.0 * cp(1, 2),
-                  (2, 0): cp(0, 0), (1, 1): 2.0 * cp(0, 1), (0, 2): cp(1, 1)}
-        for (a, b) in coeffs:
-            if a + b > self.degree:
-                coeffs[(a, b)] = 0.0
+        # p = (a s1 + b s2 + z)^T C (a s1 + b s2 + z); only the declared
+        # degrees are formed, the others are exactly zero
+        fz = form_times(z)
+        coeffs = {(0, 0): _dot3(z, fz), (1, 0): 0.0, (0, 1): 0.0,
+                  (2, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+        if self.degree >= 1:
+            coeffs[(1, 0)], coeffs[(0, 1)] = 2.0 * _dot3(a, fz), 2.0 * _dot3(b, fz)
+        if self.degree == 2:
+            fa, fb = form_times(a), form_times(b)
+            coeffs[(2, 0)], coeffs[(1, 1)], coeffs[(0, 2)] = (
+                _dot3(a, fa), 2.0 * _dot3(a, fb), _dot3(b, fb))
         return coeffs
 
 
@@ -298,16 +301,35 @@ def _k_coeffs(q, c, nu, kmat=None) -> dict:
     return coef
 
 
-def _k_contract(dec, c, coefs, min_degree=0) -> list:
-    """sum w_ab I_ab / (4 pi) for each weight set in coefs, from one moment
-    set up to the highest degree any needs (lower-degree moments do not
-    depend on it); an empty set gives 0.0."""
+def _polar(planar_points, c):
+    """The polar decomposition of a panel's planar vertices (oriented
+    here) and the target height c, snapped to 0 below roundoff."""
+    dec = decompose_polar(orient_planar(*planar_points))
+    return dec, _snap_height(c, dec)
+
+
+def _contract(m, coefs) -> list:
+    """sum w_ab m_ab / (4 pi) for each weight set {(a, b): w} in coefs."""
+    return [sum([w * m[ab] for ab, w in coef.items()]) / FOUR_PI for coef in coefs]
+
+
+def _k_integrals(planar_points, c, nu, densities, kmat=None, min_degree=0) -> list:
+    """The K integral of each density over the triangle planar_points, for
+    a target at height c above the origin with normal nu (and the curved
+    numerator of kmat, see _k_coeffs): the one tail of the flat,
+    on-surface and off-surface paths.
+
+    One moment set up to the highest degree any density needs serves all
+    (lower-degree moments do not depend on it); a density with no weight
+    gives 0.0.  Raises DivergentIntegral by the coplanar rule.
+    """
+    dec, c = _polar(planar_points, c)
+    _check_coplanar(dec, c, min_degree)
+    coefs = [_k_coeffs(h.monomial_coeffs(planar_points), c, nu, kmat) for h in densities]
     degrees = [a + b for coef in coefs for a, b in coef]
     if not degrees:
         return [0.0] * len(coefs)
-    m = compute_k_moments(dec, c, max_degree=max(degrees), min_degree=min_degree)
-    return [sum(w * m.k_moment(a, b) for (a, b), w in coef.items()) / FOUR_PI
-            for coef in coefs]
+    return _contract(compute_k_moments(dec, c, max(degrees), min_degree), coefs)
 
 
 def integrate_k_panel(panel, target, p=None):
@@ -324,15 +346,8 @@ def integrate_k_panel(panel, target, p=None):
     if target.n is None:
         raise ValueError("K-kernel integration needs a target normal")
     frame = normalize_frame(panel, target)
-    dec = decompose_polar(frame.planar_triangle)
-    c = _snap_height(frame.c, dec)
-    if c == 0.0 and dec.slabs[0].r_lo == 0.0:
-        raise DivergentIntegral(
-            "coplanar target on the panel; use the on-surface (curved) path")
-    nu = frame.rotated_target_normal
-    coefs = [_k_coeffs(h.monomial_coeffs(frame.planar_points), c, nu)
-             for h in densities]
-    return _shaped(_k_contract(dec, c, coefs), many)
+    return _shaped(_k_integrals(frame.planar_points, frame.c,
+                                frame.rotated_target_normal, densities), many)
 
 
 def integrate_g_panel(panel, target, p=None):
@@ -343,11 +358,9 @@ def integrate_g_panel(panel, target, p=None):
     """
     densities, many = _densities(p, 1, "G-kernel panel integrals")
     frame = normalize_frame(panel, target)
-    dec = decompose_polar(frame.planar_triangle)
-    c = _snap_height(frame.c, dec)
-    j0, jx, jy = compute_g_moments(dec, c)
-    vals = []
-    for h in densities:
-        q = h.monomial_coeffs(frame.planar_points)
-        vals.append(-(q[(0, 0)] * j0 + q[(1, 0)] * jx + q[(0, 1)] * jy) / FOUR_PI)
-    return _shaped(vals, many)
+    dec, c = _polar(frame.planar_points, frame.c)
+    # with the numerator -1, a density's monomial coefficients are its
+    # weights; above degree 1 they are zero, and so are the moments read
+    j = dict(zip(MONOMIALS, compute_g_moments(dec, c) + _ZERO_ABOVE_DEGREE_1))
+    coefs = [h.monomial_coeffs(frame.planar_points) for h in densities]
+    return _shaped([-v for v in _contract(j, coefs)], many)

@@ -22,11 +22,11 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
-from .geometry import Panel, _cross2, _project, decompose_polar, orient_planar, rotation_to_z
-from .panel_integrals import (FOUR_PI, PanelPolynomial, _densities, _k_coeffs,
-                              _k_contract, _shaped)
-# a qsa attribute that bench/layers.py traces; the moments are computed
-# in panel_integrals
+from .geometry import Panel, _cross2, _project, rotation_to_z
+from .panel_integrals import FOUR_PI, PanelPolynomial, _densities, _k_integrals, _shaped
+# qsa attributes that bench/layers.py traces; the decomposition and the
+# moments are computed in panel_integrals
+from .geometry import decompose_polar  # noqa: F401
 from .panel_integrals import compute_k_moments  # noqa: F401
 from .curvature import FundamentalForm, estimate_fundamental_form, estimate_normals
 
@@ -66,11 +66,9 @@ def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
             return _shaped(out[0], many)
     rot = rotation_to_z(np.asarray(target.n, dtype=float))
     proj = _project(verts.tolist(), x.tolist(), rot.tolist())
-    dec = decompose_polar(orient_planar(*proj))
     kmat = form.express_in(rot[:2]).matrix
-    coefs = [_k_coeffs(h.monomial_coeffs(proj), 0.0, _ON_SURFACE_NU, kmat)
-             for h in densities]
-    return _shaped(_k_contract(dec, 0.0, coefs, min_degree=2), many)
+    return _shaped(_k_integrals(proj, 0.0, _ON_SURFACE_NU, densities, kmat,
+                                min_degree=2), many)
 
 
 def target_vertex(verts, x):
@@ -109,18 +107,6 @@ def _angular_primitives(theta, theta2):
         (3, 0): -np.sin(u - theta2) - (6.0 * c2 * c2 * s2 * at + c2 ** 3 * csc),
         (0, 3): s2 ** 3 * csc - np.cos(u - theta2) - 6.0 * c2 * s2 * s2 * at,
     }
-
-
-def angular_primitive(a: int, b: int, theta, theta2):
-    """Antiderivative of cos^a(t) sin^b(t) / sin^(a+b-1)(t + theta2) at t = theta.
-
-    The seven (a, b) pairs cover quadratic-times-linear numerators; theta2
-    is the triangle's angle at the second vertex, in (0, pi).
-    """
-    prims = _angular_primitives(theta, theta2)
-    if (a, b) not in prims:
-        raise ValueError(f"no angular primitive for (a, b) = ({a}, {b})")
-    return prims[(a, b)]
 
 
 def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
@@ -232,11 +218,8 @@ def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
     rot = np.array([b1, b2, normal / np.linalg.norm(normal)])
     foot = np.asarray(target.x, dtype=float) - c * rot[2]
     proj = _project(panel.verts.tolist(), foot.tolist(), rot.tolist())
-    dec = decompose_polar(orient_planar(*proj))
     nu = rot @ np.asarray(target.n, dtype=float)
-    coefs = [_k_coeffs(h.monomial_coeffs(proj), c, nu, form.matrix)
-             for h in densities]
-    return _shaped(_k_contract(dec, c, coefs), many)
+    return _shaped(_k_integrals(proj, c, nu, densities, form.matrix), many)
 
 
 def foot_point(surface, x):

@@ -58,7 +58,7 @@ from tripanel.panel_integrals import (
     integrate_g_panel,
     integrate_k_panel,
 )
-from tripanel.qsa import angular_primitive, qsa_on_boundary
+from tripanel.qsa import _angular_primitives, qsa_on_boundary
 from tripanel.radial_kernels import (
     RadialKind,
     definite_radial,
@@ -112,14 +112,14 @@ def test_criterion_1_primitive_families():
             return (math.cos(tt) ** a * math.sin(tt) ** b
                     / math.sin(tt + theta2) ** (a + b - 1))
 
-        fd = (angular_primitive(a, b, t + h, theta2)
-              - angular_primitive(a, b, t - h, theta2)) / (2 * h)
+        fd = (_angular_primitives(t + h, theta2)[(a, b)]
+              - _angular_primitives(t - h, theta2)[(a, b)]) / (2 * h)
         ref = integrand(t)
         fd_margin = max(fd_margin, abs(fd - ref) / (1e-6 * abs(ref) + 1e-9))
         t_lo = rng.uniform(lo, hi - 1e-3)
         t_hi = rng.uniform(t_lo, hi)
-        got = (angular_primitive(a, b, t_hi, theta2)
-               - angular_primitive(a, b, t_lo, theta2))
+        got = (_angular_primitives(t_hi, theta2)[(a, b)]
+               - _angular_primitives(t_lo, theta2)[(a, b)])
         want, _ = quad(integrand, t_lo, t_hi, epsabs=1e-14, epsrel=1e-12,
                        limit=300)
         def_margin = max(def_margin,

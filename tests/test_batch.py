@@ -22,9 +22,6 @@ from tripanel.panel_integrals import (
 
 HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 
-# flagged (degenerate) lanes are masked, so they must not warn either
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def scalar_k_hats(v, x, n):
     tgt = Target(x, n)

@@ -296,6 +296,11 @@ def test_export_solution_roundtrip(tmp_path):
     assert len(doc["nodes"]) == mesh.n_nodes
     assert doc["gamma"][3] == 3.0
     assert doc["u"] == [1.5]
+    # summary fields ride along at the top level, as the bem command writes them
+    export_solution(path, [mesh], gamma, probes, u, bc="x1-flux", n_nodes=mesh.n_nodes)
+    doc = json.loads(path.read_text())
+    assert doc["bc"] == "x1-flux" and doc["n_nodes"] == mesh.n_nodes
+    assert doc["u"] == [1.5] and len(doc["gamma"]) == mesh.n_nodes
 
 
 def _star_by_form(x, n, form, y):

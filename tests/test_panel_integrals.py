@@ -67,12 +67,12 @@ def test_full_circle_slab_k_moments():
     m = compute_k_moments(dec, c, max_degree=3)
     s0 = math.hypot(0.5, c)
     s1 = math.hypot(2.0, c)
-    assert m.k_moment(0, 0) == pytest.approx(2.0 * math.pi * (1.0 / s0 - 1.0 / s1), rel=1e-14)
+    assert m[(0, 0)] == pytest.approx(2.0 * math.pi * (1.0 / s0 - 1.0 / s1), rel=1e-14)
     r4 = (s1 + c * c / s1) - (s0 + c * c / s0)
-    assert m.k_moment(2, 0) == pytest.approx(math.pi * r4, rel=1e-14)
-    assert m.k_moment(0, 2) == pytest.approx(math.pi * r4, rel=1e-14)
+    assert m[(2, 0)] == pytest.approx(math.pi * r4, rel=1e-14)
+    assert m[(0, 2)] == pytest.approx(math.pi * r4, rel=1e-14)
     for a, b in ((1, 0), (0, 1), (1, 1), (3, 0), (2, 1), (1, 2), (0, 3)):
-        assert m.k_moment(a, b) == 0.0
+        assert m[(a, b)] == 0.0
 
 
 def test_full_circle_slab_g_moments():
@@ -89,7 +89,7 @@ def test_k_moments_match_oracle_origin_inside():
     m = compute_k_moments(dec, c, max_degree=3)
     for a, b in MONOMIALS:
         want = planar_moment_oracle(FIG_PTS, a, b, c, power=3)
-        assert m.k_moment(a, b) == pytest.approx(want, rel=1e-8, abs=1e-12)
+        assert m[(a, b)] == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 def test_g_moments_match_oracle_origin_inside():
@@ -108,7 +108,7 @@ def test_k_moments_origin_outside():
         m = compute_k_moments(dec, c, max_degree=3)
         for a, b in MONOMIALS:
             want = planar_moment_oracle(pts, a, b, c, power=3)
-            assert m.k_moment(a, b) == pytest.approx(want, rel=1e-8), (a, b, c)
+            assert m[(a, b)] == pytest.approx(want, rel=1e-8), (a, b, c)
 
 
 def test_g_moments_near_singular():
@@ -169,9 +169,9 @@ def test_k_moments_degree_gating_consistent():
         part = compute_k_moments(dec, 0.7, max_degree=deg)
         for a, b in MONOMIALS:
             if a + b <= deg:
-                assert part.k_moment(a, b) == full.k_moment(a, b)
+                assert part[(a, b)] == full[(a, b)]
             else:
-                assert part.k_moment(a, b) == 0.0
+                assert part[(a, b)] == 0.0
 
 
 # ---------------------------------------------------------- panel polynomial
@@ -240,6 +240,19 @@ def test_k_divergent_on_panel():
               [0.5, -0.75, 0.0]):    # on an edge
         with pytest.raises(DivergentIntegral):
             integrate_k_panel(panel, Target(x, n=[0.0, 0.0, 1.0]))
+
+
+def test_k_divergent_on_panel_with_zero_density():
+    # the zero density gives no moment weights, but the coplanar target on
+    # the closed panel is still rejected, alone and in a density list
+    panel = Panel([-1.0, -1.0, 0.0], [2.0, -0.5, 0.0], [0.0, 2.0, 0.0])
+    zero = PanelPolynomial.constant(0.0)
+    for x in ([0.1, 0.2, 0.0], [-1.0, -1.0, 0.0], [0.5, -0.75, 0.0]):
+        for p in (zero, [zero], [zero, zero]):
+            with pytest.raises(DivergentIntegral):
+                integrate_k_panel(panel, Target(x, n=[0.0, 0.0, 1.0]), p)
+    # off the panel's plane the same density integrates to zero
+    assert integrate_k_panel(panel, Target([0.1, 0.2, 0.3], n=[0.0, 0.0, 1.0]), zero) == 0.0
 
 
 def test_k_needs_normal():

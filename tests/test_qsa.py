@@ -14,7 +14,7 @@ from tripanel.mesh_io import generate_sphere_mesh
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_patch, sphere_patch_chart
 from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
 from tripanel.qsa import (
-    angular_primitive,
+    _angular_primitives,
     foot_point,
     qsa_off_boundary,
     qsa_on_boundary,
@@ -36,8 +36,8 @@ def test_angular_primitives_match_derivative_and_quadrature():
             t2 = rng.uniform(0.05, math.pi - 0.15)
             t = rng.uniform(0.01, math.pi - t2 - 0.05)
             h = 1e-6
-            fd = (angular_primitive(a, b, t + h, t2)
-                  - angular_primitive(a, b, t - h, t2)) / (2 * h)
+            fd = (_angular_primitives(t + h, t2)[(a, b)]
+                  - _angular_primitives(t - h, t2)[(a, b)]) / (2 * h)
             want = angular_integrand(a, b, t, t2)
             assert abs(fd - want) < 1e-6 * max(1.0, abs(want))
         # definite integral against 1D quadrature
@@ -45,15 +45,11 @@ def test_angular_primitives_match_derivative_and_quadrature():
             t2 = rng.uniform(0.2, math.pi - 0.8)
             ta = rng.uniform(0.01, 0.2)
             tb = rng.uniform(ta + 0.05, math.pi - t2 - 0.05)
-            got = angular_primitive(a, b, tb, t2) - angular_primitive(a, b, ta, t2)
+            got = (_angular_primitives(tb, t2)[(a, b)]
+                   - _angular_primitives(ta, t2)[(a, b)])
             want, err = quad(lambda t: angular_integrand(a, b, t, t2), ta, tb,
                              epsabs=1e-13, epsrel=1e-12)
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_angular_primitive_rejects_unknown_pair():
-    with pytest.raises(ValueError):
-        angular_primitive(4, 0, 0.3, 0.9)
 
 
 def tangent_basis(n):
