@@ -33,7 +33,10 @@ pair: the height c and in-plane offset (three dot products with v0 - x),
 per edge z = p_start x edge and d = |z| / length, and r per vertex.  The
 foot is -(z / length) perp(u), so (cos phi, sin phi) = sign(z) (u2, -u1)
 and sign(z) orients the sweep.  `_wedge_terms` evaluates the pieces K
-and G share, the wedge angle arctan2(|t|, d) among them.  On every
+and G share, the wedge angle arctan2(|t|, d) among them.  The K moments
+do not depend on the kernel direction n, so a target may carry several
+directions (the three axes of a gradient): the pair's moments are built
+once and contracted with each nu = (n.t1, n.t2, n.n_p).  On every
 unflagged pair of a sphere-plus-torus BEM problem, tests/test_batch.py
 holds all three entries to the scalar path within 1e-11 of the pair's
 largest hat value.
@@ -246,12 +249,13 @@ def _hat_values(g, k0, k1, k2):
 
 def _k_pairs(x, n_x, verts, table, degree):
     """Pair geometry, K moments and the K fallback of (B, P) pairs, plus
-    the target normal in each panel frame."""
+    each kernel direction in each panel frame: nu1, nu2, nu3 of shape
+    (D, B, P) for n_x of shape (B, D, 3), D = 1 for (B, 3)."""
     g = _pair_geometry(x, verts, table)
     c_abs = np.abs(g.c)
     fallback = (c_abs <= _HEIGHT_TOL * g.scale) | g.flag
     e = _wedge_terms(np.maximum(c_abs, _TINY), g)
-    n_x = np.atleast_2d(np.asarray(n_x, dtype=float)).T[..., None]
+    n_x = np.asarray(n_x, dtype=float).reshape(len(g.c), -1, 3).T[..., None]
     nu = (_dot3(n_x, g.tab.t1), _dot3(n_x, g.tab.t2), _dot3(n_x, g.tab.n))
     return g, _moments(g, _k_wedge_v(e, degree), degree), nu, fallback
 
@@ -268,11 +272,14 @@ def _finish(parts, fallback):
 def k_panel_entries(x, n_x, verts, table=None):
     """Closed-form int K(x_i, y) lam_m(y) dS over every (target, panel) pair.
 
-    x, n_x: (B, 3) targets and their kernel normals; verts: (P, 3, 3),
-    whose `_panel_table` may be passed precomputed as `table`.  Returns
-    (vals, fallback): vals (B, P, 3) with the integral against each
-    vertex hat, and fallback (B, P) marking pairs the caller must reroute
-    (target in or near the panel plane, degenerate panel) whose vals are 0.
+    x: (B, 3) targets; n_x: their kernel normals, (B, 3), or D kernel
+    directions per target, (B, D, 3); verts: (P, 3, 3), whose
+    `_panel_table` may be passed precomputed as `table`.  Returns (vals,
+    fallback): vals (B, P, 3), or (B, P, D, 3), with the integral against
+    each vertex hat, and fallback (B, P) marking pairs the caller must
+    reroute (target in or near the panel plane, degenerate panel) whose
+    vals are 0.  The geometry and moments of a pair are computed once;
+    only their contraction with nu = (n.t1, n.t2, n.n_p) is per direction.
     """
     g, m, (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table, 2)
     fallback |= np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale
@@ -281,8 +288,10 @@ def k_panel_entries(x, n_x, verts, table=None):
         k = (cn * m[(0, 0)] - nu1 * m[(1, 0)] - nu2 * m[(0, 1)],
              cn * m[(1, 0)] - nu1 * m[(2, 0)] - nu2 * m[(1, 1)],
              cn * m[(0, 1)] - nu1 * m[(1, 1)] - nu2 * m[(0, 2)])
-        vals = _hat_values(g, *(v / FOUR_PI for v in k))
-    return _finish(vals, fallback)
+        hats = _hat_values(g, *(v / FOUR_PI for v in k))
+    vals, fallback = _finish([h[d] for d in range(len(cn)) for h in hats],
+                             fallback)
+    return vals.reshape(*fallback.shape, *np.shape(n_x)[1:-1], 3), fallback
 
 
 def k_row_sums(x, n_x, verts, table=None):
@@ -295,7 +304,7 @@ def k_row_sums(x, n_x, verts, table=None):
     with np.errstate(all="ignore"):
         vals = (g.c * nu3 * m[(0, 0)] - nu1 * m[(1, 0)]
                 - nu2 * m[(0, 1)]) / FOUR_PI
-    return _finish([vals], fallback)
+    return _finish(list(vals), fallback)
 
 
 def g_panel_entries(x, verts, table=None):

@@ -32,6 +32,10 @@ Any other pair whose flat integral diverges has a node lying on a panel
 it is not a vertex of (touching or intersecting meshes): the K
 operators at the nodes raise MeshError for it.
 
+A target may carry several kernel directions (the gradient gives each
+point the three axes): one pair pass serves them all, as only the final
+contraction of the panel moments depends on the direction.
+
 Each operator only reduces the blocks: it scatters hat values into
 matrix rows, sums rows, or contracts with the density.
 """
@@ -223,17 +227,21 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
     at a time.
 
     K with the target `normals`, or G when they are None, against each of
-    `densities` (_HATS, or _UNIT for K row sums).  Pairs the batch call
-    flags are redone on the scalar path; a divergent one raises
-    DivergentIntegral.  With `on_nodes` the targets are the mesh nodes:
-    their incident pairs come back zero, for the singular strategy to
-    fill, and any other pair whose scalar integral diverges has a node
-    on a panel it is not a vertex of, which raises MeshError.
+    `densities` (_HATS, or _UNIT for K row sums).  `normals` of shape
+    (N, D, 3) give D kernel directions per target, served by one batch
+    pass per pair.  Pairs the batch call flags are redone on the scalar
+    path, once per direction; a divergent one raises DivergentIntegral.
+    With `on_nodes` the targets are the mesh nodes: their incident pairs
+    come back zero, for the singular strategy to fill, and any other pair
+    whose scalar integral diverges has a node on a panel it is not a
+    vertex of, which raises MeshError.
 
     Yields (start, stop, vals, at): vals[j, p, d] belongs to target
-    start + j, panel p and densities[d]; `at` slices the incident pair
-    arrays to the block's nodes (empty without `on_nodes`).
+    start + j, panel p and densities[d] (vals[j, p, k, d] to direction k
+    with D directions); `at` slices the incident pair arrays to the
+    block's nodes (empty without `on_nodes`).
     """
+    dirs = () if normals is None else normals.shape[1:-1]
     blk = max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
     for start in range(0, len(points), blk):
         stop = min(start + blk, len(points))
@@ -246,7 +254,7 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
             vals, flagged = batch(points[start:stop], normals[start:stop],
                                   asm.verts, table=asm.table)
             integrate = integrate_k_panel
-        vals = vals.reshape(*flagged.shape, len(densities))
+        vals = vals.reshape(*flagged.shape, *dirs, len(densities))
         at = slice(0)
         if on_nodes:
             at = slice(*np.searchsorted(asm.inc_node, [start, stop]))
@@ -255,9 +263,12 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
             vals[incident] = 0.0
         for j, p in zip(*np.nonzero(flagged)):
             i = start + j
-            target = Target(points[i], None if normals is None else normals[i])
+            panel = Panel(*asm.verts[p])
             try:
-                vals[j, p] = integrate(Panel(*asm.verts[p]), target, densities)
+                for k in np.ndindex(dirs):
+                    target = Target(points[i],
+                                    None if normals is None else normals[i][k])
+                    vals[(j, p, *k)] = integrate(panel, target, densities)
             except DivergentIntegral as exc:
                 if not on_nodes:
                     raise
@@ -447,11 +458,18 @@ def _single_layer_column_means(meshes):
 
 
 def _layer_values(asm, gamma, points, normals):
-    """sum_panels int kernel * gamma dS per point (K with normals, else G)."""
+    """sum_panels int kernel * gamma dS per point (K with normals, else G);
+    (N, D) for normals of shape (N, D, 3)."""
     gamma_tri = np.asarray(gamma, dtype=float)[asm.tris]      # (P, 3)
-    out = np.zeros(len(points))
+    dirs = () if normals is None else normals.shape[1:-1]
+    out = np.zeros((len(points), *dirs))
     for start, stop, vals, _ in _pair_blocks(asm, points, normals, _HATS):
-        out[start:stop] = np.einsum("bpm,pm->b", vals, gamma_tri)
+        # one contiguous (panels, hats) row per (point, direction): einsum
+        # then sums each in the same order, whatever the directions
+        rows = np.ascontiguousarray(np.moveaxis(vals, 1, -2))
+        rows = rows.reshape(-1, *gamma_tri.shape)
+        out[start:stop] = np.einsum("bpm,pm->b", rows,
+                                    gamma_tri).reshape(-1, *dirs)
     return out
 
 
@@ -465,17 +483,16 @@ def potential_gradient(meshes, gamma, points):
     """grad u of the single layer at points off the panel surfaces.
 
     Exact for the discrete layer: d_k u = sum_panels int (x - y).e_k /
-    (4 pi r^3) gamma(y) dS is the K engine evaluated with the basis
-    vectors in place of the target normal, so no finite differencing is
-    involved.  Points on the layer itself have no single-sided value:
-    they raise DivergentIntegral.
+    (4 pi r^3) gamma(y) dS is the K integral with the basis vector e_k as
+    kernel direction, so no finite differencing is involved.  Each point
+    takes the three axes as its D = 3 directions: one pair pass gives the
+    panel moments, and only their contraction with nu = (t1[k], t2[k],
+    n[k]) is per axis.  Points on the layer itself have no single-sided
+    value: they raise DivergentIntegral.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(points)
-    targets = np.repeat(points, 3, axis=0)
-    directions = np.tile(np.eye(3), (m, 1))
-    out = _layer_values(_Assembly(meshes), gamma, targets, directions)
-    return out.reshape(m, 3)
+    axes = np.broadcast_to(np.eye(3), (len(points), 3, 3))
+    return _layer_values(_Assembly(meshes), gamma, points, axes)
 
 
 def enclosing_flux(meshes, gamma, radius=0.7, center=None, n=400):
@@ -500,15 +517,17 @@ def torus_flux_diagnostic(meshes, gamma, probe, mesh_index=1, n_samples=80):
 
     Samples the interface at panel-centroid projections onto the true
     surface (strictly off the flat discrete layer, so the gradient there
-    is single-valued), and reports |grad u . n| against the field.  The
-    per-point ratio |grad u . n| / |grad u| blows up at flow stagnation
-    points where the whole field vanishes, so the stable figure of merit
-    scales by the strongest sampled field instead.
+    is single-valued), at n_samples panels spread evenly over the whole
+    panel list (every panel when there are fewer), and reports
+    |grad u . n| against the field.  The per-point ratio
+    |grad u . n| / |grad u| blows up at flow stagnation points where the
+    whole field vanishes, so the stable figure of merit scales by the
+    strongest sampled field instead.
     """
     meshes = _as_mesh_list(meshes)
     surf = meshes[mesh_index]
-    step = max(1, surf.n_triangles // n_samples)
-    sel = np.arange(0, surf.n_triangles, step)[:n_samples]
+    count = min(n_samples, surf.n_triangles)
+    sel = (np.arange(count) * surf.n_triangles) // count
     cents = surf.nodes[surf.triangles[sel]].mean(axis=1)
     stars = np.array([foot_point(probe, c)[0] for c in cents])
     nstar = np.array([probe.gradient(x) for x in stars])

@@ -208,6 +208,23 @@ def test_blocked_and_single_calls_agree():
         assert np.allclose(one[0], all_vals[b], rtol=1e-12, atol=1e-14 * scale)
 
 
+def test_several_directions_per_target_match_one_each():
+    # (B, D, 3) kernel directions: one pass, the same bits as D calls with
+    # one direction each, and one fallback mask per pair
+    rng = np.random.default_rng(14)
+    verts = rng.uniform(-1, 1, (30, 3, 3))
+    x = rng.uniform(-1.5, 1.5, (10, 3))
+    x[0] = verts[4, 0] + 0.3 * (verts[4, 0] - verts[4, 1])   # in panel 4's plane
+    dirs = rng.normal(size=(10, 4, 3))
+    vals, fb = k_panel_entries(x, dirs, verts)
+    assert vals.shape == (10, 30, 4, 3) and fb.shape == (10, 30)
+    assert fb[0, 4]
+    for d in range(4):
+        one, one_fb = k_panel_entries(x, dirs[:, d], verts)
+        assert np.array_equal(vals[:, :, d], one)
+        assert np.array_equal(fb, one_fb)
+
+
 def _worst_against_scalar(x, n_x, verts):
     """Largest |batch - scalar| over every pair no entry flags, relative
     to the pair's largest scalar hat value, per entry."""

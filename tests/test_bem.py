@@ -25,7 +25,7 @@ from tripanel.bem import (
     torus_flux_diagnostic,
     torus_in_sphere_problem,
 )
-from tripanel.curvature import estimate_normals, sphere_probe
+from tripanel.curvature import estimate_normals, sphere_probe, torus_probe
 from tripanel.errors import ConvergenceFailure, DivergentIntegral, MeshError
 from tripanel.geometry import Panel, Target
 from tripanel.mesh_io import (
@@ -251,6 +251,41 @@ def test_gradient_on_layer_raises_potential_does_not():
     assert np.isfinite(evaluate_potential([mesh], gamma, node)).all()
 
 
+def test_gradient_axes_share_one_pair_pass_bit_for_bit():
+    # each column of the gradient is the one-direction K engine with e_k
+    # as every point's normal, to the bit; the in-plane points off their
+    # panel (c = 0) are flagged by the batch, so the scalar fallback runs
+    # once per axis
+    meshes, system, _ = torus_in_sphere_problem(1, 8, 4)
+    gamma = np.random.default_rng(6).normal(size=system.n)
+    asm = bem._Assembly(meshes)
+    panels = [0, 9, 33]
+    v = asm.verts[panels]
+    in_plane = v[:, 0] - 0.5 * (v[:, 1] - v[:, 0]) - 0.5 * (v[:, 2] - v[:, 0])
+    points = np.concatenate([np.random.default_rng(7).uniform(-0.9, 0.9, (20, 3)),
+                             in_plane])
+    axes = np.broadcast_to(np.eye(3), (len(in_plane), 3, 3))
+    _, flagged = k_panel_entries(in_plane, axes, asm.verts)
+    assert flagged[np.arange(len(panels)), panels].all()
+    grad = potential_gradient(meshes, gamma, points)
+    for k, e in enumerate(np.eye(3)):
+        one = bem._layer_values(asm, gamma, points, np.tile(e, (len(points), 1)))
+        assert np.array_equal(grad[:, k], one)
+
+
+def test_torus_flux_diagnostic_samples_every_ring():
+    # 80 samples of a 10 x 5 torus's 100 panels reach all ten u-rings
+    n_u, n_v = 10, 5
+    meshes = [generate_sphere_mesh(1), generate_torus_mesh(0.4, 0.2, n_u, n_v)]
+    gamma = np.random.default_rng(8).normal(
+        size=sum(m.n_nodes for m in meshes))
+    diag = torus_flux_diagnostic(meshes, gamma, torus_probe(0.4, 0.2))
+    assert len(diag["points"]) == 80
+    u = np.arctan2(diag["points"][:, 1], diag["points"][:, 0]) % (2.0 * np.pi)
+    rings = np.floor(u / (2.0 * np.pi / n_u)).astype(int)
+    assert set(rings.tolist()) == set(range(n_u))
+
+
 def test_assemble_defaults_to_stored_node_normals():
     # tilted away from both the radial and the estimated normals, so a
     # matrix built from either would differ
@@ -401,7 +436,8 @@ def test_block_size_changes_nothing(monkeypatch):
         points = np.random.default_rng(4).uniform(-0.9, 0.9, (30, 3))
         return (system.matrix,
                 *identity_row_parts(meshes[1])[:2],
-                evaluate_potential(meshes, gamma, points))
+                evaluate_potential(meshes, gamma, points),
+                potential_gradient(meshes, gamma, points))
 
     panels = sum(m.n_triangles for m in torus_in_sphere_problem(1, 8, 4)[0])
     one_row, one_block = run(panels), run(10 ** 9)
