@@ -170,7 +170,6 @@ class _Assembly:
         self.nodes = np.concatenate(nodes)
         self.tris = np.concatenate(tris)
         self.verts = self.nodes[self.tris]
-        self.table = _panel_table(self.verts)
         self.areas = 0.5 * np.linalg.norm(
             np.cross(self.verts[:, 1] - self.verts[:, 0],
                      self.verts[:, 2] - self.verts[:, 0]), axis=1)
@@ -180,6 +179,11 @@ class _Assembly:
         order = np.argsort(self.tris.ravel(), kind="stable")
         self.inc_node = self.tris.ravel()[order]
         self.inc_panel, self.inc_slot = np.divmod(order, 3)
+
+    @cached_property
+    def table(self):
+        """The batch engine's panel table, built by the first pair block."""
+        return _panel_table(self.verts)
 
     @cached_property
     def normals(self):
@@ -512,8 +516,9 @@ def enclosing_flux(meshes, gamma, radius=0.7, center=None, n=400):
     return float((grad * dirs).sum(1).mean() * 4.0 * np.pi * radius ** 2)
 
 
-def torus_flux_diagnostic(meshes, gamma, probe, mesh_index=1, n_samples=80):
-    """Normal-flux leakage through an insulating interface.
+def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
+    """Normal-flux leakage through an insulating interface, the second
+    mesh (meshes[1]), whose true surface is probe's zero level set.
 
     Samples the interface at panel-centroid projections onto the true
     surface (strictly off the flat discrete layer, so the gradient there
@@ -525,7 +530,7 @@ def torus_flux_diagnostic(meshes, gamma, probe, mesh_index=1, n_samples=80):
     strongest sampled field instead.
     """
     meshes = _as_mesh_list(meshes)
-    surf = meshes[mesh_index]
+    surf = meshes[1]
     count = min(n_samples, surf.n_triangles)
     sel = (np.arange(count) * surf.n_triangles) // count
     cents = surf.nodes[surf.triangles[sel]].mean(axis=1)

@@ -4,9 +4,9 @@ A surface's shape operator at x is S(x) = -hess F / |grad F| for a
 (pseudo) signed-distance descriptor F; restricted to an in-plane basis it
 gives the second fundamental form K_ij, the Hessian of the surface's
 tangent-plane graph.  With the outward normal rotated to +z a unit sphere
-has K = -I.  Meshes without a descriptor get K from an angle-weighted
-normal estimate and a least-squares quadratic fit of the rotated
-neighborhood.
+has K = -I.  Meshes without a descriptor get K at every node at once
+(estimate_fundamental_forms) from an angle-weighted normal estimate and a
+least-squares quadratic fit of each node's rotated neighborhood.
 """
 
 import math
@@ -127,20 +127,6 @@ def _fit_form(mesh, node, normal, neighbors) -> FundamentalForm:
     return FundamentalForm(2.0 * ca, cc, 2.0 * cb, rot[:2].copy())
 
 
-def estimate_fundamental_form(mesh: SurfaceMesh, node: int, node_normals=None) -> FundamentalForm:
-    """Least-squares second fundamental form at one mesh node.
-
-    Rotates the node's normal to +z, fits h = a s1^2 + b s2^2 + c s1 s2
-    + d s1 + e s2 to the 1-ring neighbors (widened to the 2-ring when the
-    1-ring has fewer than 8 nodes), and returns [[2a, c], [c, 2b]] with
-    the basis used.
-    """
-    if node_normals is None:
-        node_normals = estimate_normals(mesh)
-    adj = _adjacency(mesh)
-    return _fit_form(mesh, node, node_normals[node], _ring(adj, node))
-
-
 def _ring(adj, node):
     neighbors = set(adj[node])
     if len(neighbors) < 8:
@@ -151,7 +137,12 @@ def _ring(adj, node):
 
 
 def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> list:
-    """Fundamental forms at every node (shared adjacency and normals)."""
+    """Least-squares second fundamental form at every mesh node.
+
+    Rotates each node's normal to +z, fits h = a s1^2 + b s2^2 + c s1 s2
+    + d s1 + e s2 to its 1-ring (the 2-ring when the 1-ring has fewer than
+    8 nodes) and returns [[2a, c], [c, 2b]] with the basis used.
+    """
     if node_normals is None:
         node_normals = estimate_normals(mesh)
     adj = _adjacency(mesh)

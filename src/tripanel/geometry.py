@@ -14,7 +14,7 @@ table per triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
@@ -135,20 +135,18 @@ _ACTIVITY = (int(EdgeActivity.INACTIVE), int(EdgeActivity.ACTIVE), int(EdgeActiv
 class EdgeGeometry:
     """Polar data of one directed edge A -> B of a planar triangle.
 
-    d/phi locate the orthogonal projection (the foot) of the origin onto the
-    edge line; ori is the sense in which the polar angle grows with the edge
-    parameter u (u = 0 at the foot); points on the edge satisfy
-    theta = phi + ori*sign(u)*arccos(d/r).
+    The foot of the origin on the edge line is d*(cos phi, sin phi), at
+    t = t_foot on A + t*(B - A); ori is the sense in which the polar angle
+    grows with the edge parameter u = (t - t_foot)*|B - A|; points on the
+    edge satisfy theta = phi + ori*sign(u)*arccos(d/r).
     """
     d: float
     phi: float
     foot_on_edge: bool
-    sign_toward_first_vertex: int
     ori: int
     t_foot: float
     norm_a: float
     norm_b: float
-    foot: tuple[float, float]
 
 
 def _edge_geometry_one(a, b) -> EdgeGeometry:
@@ -167,7 +165,6 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
     nx, ny = (ax, ay) if norm_a <= norm_b else (bx, by)
     q = (ex * ny - ey * nx) / l
     d = abs(q)
-    foot = (q / l * -ey, q / l * ex)
     if d <= 1e-14 * min(norm_a, norm_b):
         # edge line passes through the origin: the foot angle is undefined,
         # so anchor phi on the farther endpoint T, theta_T = psi_T exactly.
@@ -175,7 +172,6 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
         # line merely close to the origin keeps its d and phi, else the
         # near endpoint's angle would be off by about d / |near|
         d = 0.0
-        foot = (0.0, 0.0)
         ori = 1
         if abs(u_a) >= abs(u_b):
             t_pt, u_t = a, u_a
@@ -190,13 +186,8 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
         s = 1.0 if q > 0 else -1.0
         phi = math.atan2(s * ex, -s * ey)
         ori = 1 if q < 0.0 else -1
-    if abs(u_a) > 1e-14 * math.sqrt(l2):
-        sign_first = ori * (1 if u_a > 0 else -1)
-    else:
-        sign_first = -ori * (1 if u_b > 0 else -1)
     return EdgeGeometry(d=d, phi=phi, foot_on_edge=(0.0 <= t_f <= 1.0),
-                        sign_toward_first_vertex=sign_first, ori=ori, t_foot=t_f,
-                        norm_a=norm_a, norm_b=norm_b, foot=foot)
+                        ori=ori, t_foot=t_f, norm_a=norm_a, norm_b=norm_b)
 
 
 class PlanarTriangle:
@@ -230,22 +221,12 @@ def edge_geometry(tri: PlanarTriangle) -> list[EdgeGeometry]:
 
 @dataclass
 class NormalizedFrame:
-    """Rigid motion y -> rotation @ y + translation placing a panel in z=0
-    with the target at (0, 0, c)."""
-    rotation: np.ndarray
+    """A panel and target in the frame that rotates the panel normal onto
+    +z (rotation_to_z) and puts the target at (0, 0, c): the panel's
+    planar vertices and the target normal in that frame."""
     c: float
     planar_points: tuple           # mapped panel vertices, input order, (x, y) pairs
     rotated_target_normal: tuple | None
-    _x_and_normal: tuple = field(repr=False)  # target point, panel normal
-
-    @property
-    def translation(self) -> np.ndarray:
-        """Formed on use: the closed forms read only the planar data."""
-        x, normal = self._x_and_normal
-        return -self.rotation @ (x - self.c * normal)
-
-    def map_point(self, y):
-        return self.rotation @ np.asarray(y, dtype=float) + self.translation
 
 
 def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
@@ -265,8 +246,7 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
     planar = _project(verts, x, rows)
     tn = None if target.n is None else target.n.tolist()
     rn = None if tn is None else (_dot3(rows[0], tn), _dot3(rows[1], tn), _dot3(rows[2], tn))
-    return NormalizedFrame(rotation=rot, c=c, planar_points=planar, rotated_target_normal=rn,
-                           _x_and_normal=(target.x, panel.normal))
+    return NormalizedFrame(c=c, planar_points=planar, rotated_target_normal=rn)
 
 
 def _dot3(u, v):
@@ -337,7 +317,6 @@ class AngleBoundary:
     sign: int
     d: float
     phi: float
-    edge: int
 
     def sweep(self, r: float) -> float:
         """theta(r) - phi."""
@@ -384,7 +363,6 @@ class PolarSlab:
 @dataclass
 class PolarDecomposition:
     slabs: list[PolarSlab]
-    triangle: PlanarTriangle = field(repr=False)
 
 
 def _crossing_sides(eg: EdgeGeometry, r: float) -> list[int]:
@@ -424,8 +402,8 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     cn = math.hypot(cx, cy)
     ref_x, ref_y = (cx / cn, cy / cn) if cn > 1e-14 else (1.0, 0.0)
     # the boundary of each edge side (u < 0, u > 0), shared by every slab
-    sides_of = [(AngleBoundary(-eg.ori, eg.d, eg.phi, k), AngleBoundary(eg.ori, eg.d, eg.phi, k))
-                for k, eg in enumerate(egs)]
+    sides_of = [(AngleBoundary(-eg.ori, eg.d, eg.phi), AngleBoundary(eg.ori, eg.d, eg.phi))
+                for eg in egs]
 
     slabs = []
     for r_lo, r_hi in zip(bounds[:-1], bounds[1:]):
@@ -463,4 +441,4 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
             dphi = (be.phi - bs.phi) - two_pi * math.floor((th_e - th_s) / two_pi)
             segments.append(Segment(start=bs, end=be, dphi=dphi))
         slabs.append(PolarSlab(r_lo, r_hi, segments, activity))
-    return PolarDecomposition(slabs=slabs, triangle=tri)
+    return PolarDecomposition(slabs=slabs)

@@ -184,46 +184,10 @@ def generate_sphere_mesh(subdivisions: int) -> SurfaceMesh:
     return SurfaceMesh(np.array(verts), np.array(faces, dtype=int))
 
 
-def generate_latlong_sphere_mesh(n_u: int, n_v: int) -> SurfaceMesh:
-    """Latitude-longitude unit sphere: n_u azimuthal segments, n_v polar bands.
-
-    Node count is n_u * (n_v - 1) + 2 (two poles plus interior rings), with
-    2 * n_u * (n_v - 1) triangles.  The thin triangle fans at the poles make
-    this a deliberately acute-triangle stress fixture; use the Fibonacci
-    mesh when quasi-uniform quality matters.
-    """
-    if n_u < 3 or n_v < 2:
-        raise ValueError("need n_u >= 3 and n_v >= 2")
-    nodes = [np.array([0.0, 0.0, 1.0])]
-    for i in range(1, n_v):
-        theta = math.pi * i / n_v
-        st, ct = math.sin(theta), math.cos(theta)
-        for j in range(n_u):
-            phi = 2.0 * math.pi * j / n_u
-            nodes.append(np.array([st * math.cos(phi), st * math.sin(phi), ct]))
-    nodes.append(np.array([0.0, 0.0, -1.0]))
-    south = len(nodes) - 1
-
-    def idx(i, j):
-        return 1 + (i - 1) * n_u + (j % n_u)
-
-    faces = []
-    for j in range(n_u):
-        faces.append((0, idx(1, j), idx(1, j + 1)))
-    for i in range(1, n_v - 1):
-        for j in range(n_u):
-            a, b = idx(i, j), idx(i, j + 1)
-            c, d = idx(i + 1, j), idx(i + 1, j + 1)
-            faces += [(a, c, d), (a, d, b)]
-    for j in range(n_u):
-        faces.append((south, idx(n_v - 1, j + 1), idx(n_v - 1, j)))
-    return SurfaceMesh(np.array(nodes), np.array(faces, dtype=int))
-
-
 def generate_fibonacci_sphere_mesh(n_nodes: int) -> SurfaceMesh:
     """Quasi-uniform unit sphere: golden-angle spiral nodes, hull connectivity.
 
-    Avoids the thin polar slivers of the latitude-longitude construction;
+    Avoids the thin polar slivers of a latitude-longitude construction;
     7202 nodes give the 14400-triangle mesh of the identity benchmark.
     """
     if n_nodes < 4:

@@ -14,21 +14,22 @@ vertex, and the off-surface case with the target at signed height c above
 the foot point.  The vertex path is written once, on arrays
 (`qsa_vertex_rows`): the BEM operators evaluate every incident pair in one
 call, and `qsa_vertex` and the vertex branch of `qsa_on_boundary` are
-one-row calls of it.
+one-row calls of it.  foot_point gives the foot and c from a level-set probe.
 """
 
 import math
 
 import numpy as np
 
+from .curvature import FundamentalForm
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
 from .geometry import Panel, _cross2, _project, rotation_to_z
 from .panel_integrals import FOUR_PI, PanelPolynomial, _densities, _k_integrals, _shaped
 # qsa attributes that bench/layers.py traces; the decomposition and the
-# moments are computed in panel_integrals
+# moments are computed in panel_integrals, the normals in curvature
 from .geometry import decompose_polar  # noqa: F401
 from .panel_integrals import compute_k_moments  # noqa: F401
-from .curvature import FundamentalForm, estimate_fundamental_form, estimate_normals
+from .curvature import estimate_normals  # noqa: F401
 
 _VERTEX_TOL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic vertex shifts
@@ -222,87 +223,17 @@ def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
     return _shaped(_k_integrals(proj, c, nu, densities, form.matrix), many)
 
 
-def foot_point(surface, x):
-    """Project x onto a surface; returns (foot, signed height c).
-
-    surface is either an SdfProbe (Newton along the gradient) or a
-    SurfaceMesh (nearest panel point refined on the local quadratic fit).
-    """
+def foot_point(probe, x):
+    """Project x onto the zero level set of an SdfProbe by Newton steps
+    along the gradient; returns (foot, signed height c of x along the
+    unit gradient at the foot)."""
     x = np.asarray(x, dtype=float)
-    if hasattr(surface, "gradient"):
-        y = x.copy()
-        for _ in range(50):
-            f = surface.value(y)
-            if abs(f) < 1e-12:
-                g = np.asarray(surface.gradient(y), dtype=float)
-                return y, float((x - y) @ (g / np.linalg.norm(g)))
-            g = np.asarray(surface.gradient(y), dtype=float)
-            y = y - f * g / (g @ g)
-        raise ConvergenceFailure("projection onto the level set did not converge")
-    return _mesh_foot(surface, x)
-
-
-def _closest_on_triangles(nodes, triangles, x):
-    """Closest point to x on each triangle (vectorized clamp)."""
-    a = nodes[triangles[:, 0]]
-    ab = nodes[triangles[:, 1]] - a
-    ac = nodes[triangles[:, 2]] - a
-    ap = x - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    d11 = np.einsum("ij,ij->i", ab, ab)
-    d22 = np.einsum("ij,ij->i", ac, ac)
-    d12 = np.einsum("ij,ij->i", ab, ac)
-    det = d11 * d22 - d12 * d12
-    v = np.clip((d22 * d1 - d12 * d2) / det, 0.0, 1.0)
-    w = np.clip((d11 * d2 - d12 * d1) / det, 0.0, 1.0)
-    over = v + w > 1.0
-    if np.any(over):
-        s = (v + w)[over]
-        v[over] /= s
-        w[over] /= s
-    cand = a + v[:, None] * ab + w[:, None] * ac
-    # clamp to each edge as well; keep the best per triangle
-    best = cand
-    dist = np.linalg.norm(x - cand, axis=1)
-    for p0, e in ((a, ab), (a, ac), (a + ab, ac - ab)):
-        t = np.clip(np.einsum("ij,ij->i", x - p0, e) / np.einsum("ij,ij->i", e, e),
-                    0.0, 1.0)
-        pt = p0 + t[:, None] * e
-        d = np.linalg.norm(x - pt, axis=1)
-        closer = d < dist
-        best = np.where(closer[:, None], pt, best)
-        dist = np.where(closer, d, dist)
-    return best, dist
-
-
-def _mesh_foot(mesh, x):
-    best, dist = _closest_on_triangles(mesh.nodes, mesh.triangles, x)
-    t = int(np.argmin(dist))
-    anchor = best[t]
-    node = int(mesh.triangles[t][np.argmin(
-        np.linalg.norm(mesh.nodes[mesh.triangles[t]] - anchor, axis=1))])
-    normals = estimate_normals(mesh)
-    form = estimate_fundamental_form(mesh, node, node_normals=normals)
-    # refine on the local quadratic graph h = 1/2 (s, K s) + linear terms
-    # dropped: the graph through the node with the fitted curvature
-    rot = np.vstack([form.basis, np.cross(form.basis[0], form.basis[1])])
-    xr = rot @ (x - mesh.nodes[node])
-    s = xr[:2].copy()
-    kmat = form.matrix
+    y = x.copy()
     for _ in range(50):
-        h = 0.5 * s @ kmat @ s
-        grad = kmat @ s
-        # minimize |(s, h(s)) - xr|^2 by Gauss-Newton on the graph
-        res = np.array([s[0] - xr[0], s[1] - xr[1]]) + (h - xr[2]) * grad
-        jac = np.eye(2) + np.outer(grad, grad)
-        step = np.linalg.solve(jac, res)
-        s = s - step
-        if np.linalg.norm(step) < 1e-12 * max(1.0, np.linalg.norm(xr)):
-            break
-    h = 0.5 * s @ kmat @ s
-    foot = mesh.nodes[node] + rot.T @ np.array([s[0], s[1], h])
-    n = rot.T @ np.array([-kmat[0, 0] * s[0] - kmat[0, 1] * s[1],
-                          -kmat[0, 1] * s[0] - kmat[1, 1] * s[1], 1.0])
-    n /= np.linalg.norm(n)
-    return foot, float((x - foot) @ n)
+        f = probe.value(y)
+        if abs(f) < 1e-12:
+            g = np.asarray(probe.gradient(y), dtype=float)
+            return y, float((x - y) @ (g / np.linalg.norm(g)))
+        g = np.asarray(probe.gradient(y), dtype=float)
+        y = y - f * g / (g @ g)
+    raise ConvergenceFailure("projection onto the level set did not converge")

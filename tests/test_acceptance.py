@@ -66,6 +66,8 @@ from tripanel.radial_kernels import (
     radial_primitive,
 )
 
+from test_geometry import polar_area
+
 ANGULAR_PAIRS = [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]
 
 
@@ -132,16 +134,6 @@ def test_criterion_1_primitive_families():
 
 
 # ------------------------------------------------- 2: polar decomposition
-
-def polar_area(dec):
-    total = 0.0
-    for slab in dec.slabs:
-        val, _ = quad(lambda r: r * slab.angular_measure(r),
-                      slab.r_lo, slab.r_hi, epsabs=1e-13, epsrel=1e-12,
-                      limit=200)
-        total += val
-    return total
-
 
 def test_criterion_2_decomposition_areas():
     rng = np.random.default_rng(77)

@@ -8,7 +8,6 @@ import pytest
 from tripanel.curvature import (
     FundamentalForm,
     SdfProbe,
-    estimate_fundamental_form,
     estimate_fundamental_forms,
     estimate_normals,
     fundamental_form_from_shape,
@@ -17,7 +16,7 @@ from tripanel.curvature import (
     torus_probe,
 )
 from tripanel.errors import MeshError
-from tripanel.geometry import Panel, Target, normalize_frame, rotation_to_z
+from tripanel.geometry import Panel, rotation_to_z
 from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, generate_torus_mesh
 
 
@@ -100,9 +99,8 @@ def test_fundamental_form_sphere_pole():
     panel = Panel(np.array([0.01, 0.0, 1.0]),
                   np.array([-0.005, 0.008, 1.0]),
                   np.array([-0.005, -0.008, 1.0]))
-    frame = normalize_frame(panel, Target(np.array([0.0, 0.0, 1.0])))
     s = shape_operator(sphere_probe(), np.array([0.0, 0.0, 1.0]))
-    form = fundamental_form_from_shape(s, frame.rotation)
+    form = fundamental_form_from_shape(s, rotation_to_z(panel.normal))
     assert np.allclose(form.matrix, -np.eye(2), atol=1e-12)
 
 
@@ -112,8 +110,8 @@ def test_fundamental_form_plane_and_cylinder():
     probe = SdfProbe(lambda x: x[2], lambda x: n.copy(), lambda x: np.zeros((3, 3)))
     panel = Panel(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([-1.0, -1.0, 0.0]))
-    frame = normalize_frame(panel, Target(np.array([0.0, 0.0, 0.0])))
-    form = fundamental_form_from_shape(shape_operator(probe, np.zeros(3)), frame.rotation)
+    form = fundamental_form_from_shape(shape_operator(probe, np.zeros(3)),
+                                       rotation_to_z(panel.normal))
     assert np.allclose(form.matrix, 0.0)
 
     # cylinder of radius a about the z axis, evaluated at (a, 0, 0)
@@ -133,9 +131,8 @@ def test_fundamental_form_plane_and_cylinder():
     probe = SdfProbe(lambda x: math.hypot(x[0], x[1]) - a, cyl_grad, cyl_hess)
     panel = Panel(np.array([a, 0.01, 0.0]), np.array([a, 0.0, 0.01]),
                   np.array([a, -0.01, -0.01]))
-    frame = normalize_frame(panel, Target(np.array([a, 0.0, 0.0])))
     form = fundamental_form_from_shape(shape_operator(probe, np.array([a, 0.0, 0.0])),
-                                       frame.rotation)
+                                       rotation_to_z(panel.normal))
     # in the basis (tangent around the circle, axis direction)
     aligned = form.express_in(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     assert np.allclose(aligned.matrix, np.diag([-1.0 / a, 0.0]), atol=1e-12)
@@ -214,7 +211,7 @@ def grid_mesh(n=5):
 def test_estimate_fundamental_form_planar_patch():
     mesh = grid_mesh()
     center = 2 * 5 + 2
-    form = estimate_fundamental_form(mesh, center)
+    form = estimate_fundamental_forms(mesh)[center]
     assert np.allclose(form.matrix, 0.0, atol=1e-10)
     assert np.allclose(form.basis @ form.basis.T, np.eye(2), atol=1e-12)
 
@@ -242,12 +239,11 @@ def test_estimate_fundamental_form_torus_equator():
     n_u, n_v = 48, 24
     mesh = generate_torus_mesh(major, minor, n_u, n_v)
     mesh = SurfaceMesh(mesh.nodes, mesh.triangles)  # drop analytic normals
-    normals = estimate_normals(mesh)
+    forms = estimate_fundamental_forms(mesh, estimate_normals(mesh))
     want = np.sort([-1.0 / minor, -1.0 / (major + minor)])
     for i in range(0, n_u, 6):
         node = i * n_v  # v = 0 ring: the outer equator
-        form = estimate_fundamental_form(mesh, node, node_normals=normals)
-        got = np.sort(form.principal_curvatures())
+        got = np.sort(forms[node].principal_curvatures())
         assert np.all(np.abs(got - want) < 0.1 * np.abs(want))
 
 
@@ -256,7 +252,7 @@ def test_estimate_fundamental_form_errors():
     mesh = SurfaceMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                        np.array([[0, 1, 2]]))
     with pytest.raises(MeshError, match="neighbors"):
-        estimate_fundamental_form(mesh, 0)
+        estimate_fundamental_forms(mesh)[0]
 
 
 def test_direct_normal_gradient_system_is_ill_conditioned():

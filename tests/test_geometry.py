@@ -72,7 +72,7 @@ def test_rotation_maps_to_z(n):
 def test_normalize_trivial_plane():
     panel = Panel([0, 0, 0], [1, 0, 0], [0, 1, 0])
     frame = normalize_frame(panel, Target([0, 0, 1], n=[0, 0, 1]))
-    assert np.allclose(frame.rotation, np.eye(3))
+    assert np.allclose(frame.planar_points, [[0, 0], [1, 0], [0, 1]])
     assert frame.c == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(frame.rotated_target_normal, [0, 0, 1])
 
@@ -87,14 +87,10 @@ def test_normalize_preserves_distances():
         except DegenerateTriangle:
             continue
         frame = normalize_frame(panel, Target(x))
-        mapped_x = frame.map_point(x)
-        assert np.allclose(mapped_x, [0.0, 0.0, frame.c], atol=1e-12)
+        # the target sits at (0, 0, c) over the planar vertices
         for k in range(3):
-            mv = frame.map_point(verts[k])
-            assert abs(mv[2]) < 1e-12
-            assert np.allclose(mv[:2], frame.planar_points[k], atol=1e-12)
             d_before = np.linalg.norm(x - verts[k])
-            d_after = np.linalg.norm(mapped_x - mv)
+            d_after = math.hypot(*frame.planar_points[k], frame.c)
             assert d_after == pytest.approx(d_before, rel=1e-12, abs=1e-12)
 
 
@@ -102,9 +98,11 @@ def test_normalize_antiparallel_normal():
     # vertices ordered so the geometric normal points to -z
     panel = Panel([0, 0, 0], [0, 1, 0], [1, 0, 0])
     assert np.allclose(panel.normal, [0, 0, -1])
-    frame = normalize_frame(panel, Target([0.2, 0.3, -2.0]))
+    x = np.array([0.2, 0.3, -2.0])
+    frame = normalize_frame(panel, Target(x))
     assert frame.c == pytest.approx(2.0, abs=1e-12)
-    assert np.all(np.abs([frame.map_point(v)[2] for v in panel.verts]) < 1e-12)
+    for v, p in zip(panel.verts, frame.planar_points):
+        assert math.hypot(*p, frame.c) == pytest.approx(np.linalg.norm(x - v), abs=1e-12)
 
 
 def test_degenerate_panel_raises():
@@ -159,7 +157,8 @@ def test_edge_geometry_example_foot():
     e12 = egs[1]  # edge V2->V3
     assert e12.d == pytest.approx(3 / math.sqrt(26), abs=1e-12)
     assert e12.foot_on_edge
-    assert np.allclose(e12.foot, [3 / 26, -15 / 26], atol=1e-12)
+    foot = e12.d * np.array([math.cos(e12.phi), math.sin(e12.phi)])
+    assert np.allclose(foot, [3 / 26, -15 / 26], atol=1e-12)
 
 
 def test_edge_geometry_collinear_with_origin():
@@ -175,7 +174,8 @@ def test_edge_geometry_collinear_with_origin():
 def test_edge_geometry_right_triangle():
     tri = orient_planar((0, 1), (1, 0), (1, 1))
     g = edge_geometry(tri)[0]  # V1V2 from (0,1) to (1,0)
-    assert np.allclose(g.foot, [0.5, 0.5], atol=1e-14)
+    foot = g.d * np.array([math.cos(g.phi), math.sin(g.phi)])
+    assert np.allclose(foot, [0.5, 0.5], atol=1e-14)
     assert g.d == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
     assert g.foot_on_edge
 
@@ -191,7 +191,10 @@ def test_edge_sign_resolves_first_vertex(t):
         na = np.linalg.norm(a)
         if na <= g.d + 1e-12:  # first vertex at the foot: any sign is valid
             continue
-        theta = g.sign_toward_first_vertex * math.acos(min(1.0, g.d / na)) + g.phi
+        # the first vertex lies on the u < 0 side when t_foot > 0: the
+        # side sign that _crossing_sides and the AngleBoundary sides use
+        sign = -g.ori * (1 if g.t_foot > 0 else -1)
+        theta = sign * math.acos(min(1.0, g.d / na)) + g.phi
         psi = math.atan2(a[1], a[0])
         # arccos amplifies the d rounding error near the foot (slope 1/sqrt(na-d))
         tol = 1e-10 + 1e-13 / math.sqrt(max(na - g.d, 1e-13))

@@ -8,7 +8,6 @@ import pytest
 from tripanel.errors import MeshError
 from tripanel.mesh_io import (
     SurfaceMesh,
-    generate_latlong_sphere_mesh,
     generate_sphere_mesh,
     generate_torus_mesh,
     load_mesh,
@@ -95,16 +94,6 @@ def test_icosphere_volume_and_orientation():
     assert signed_volume(generate_sphere_mesh(0)) > 0
     vol = signed_volume(generate_sphere_mesh(3))
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=0.01)
-
-
-def test_latlong_sphere():
-    mesh = generate_latlong_sphere_mesh(40, 50)
-    assert mesh.n_nodes == 1962
-    assert mesh.n_triangles == 2 * 40 * 49
-    assert np.abs(np.linalg.norm(mesh.nodes, axis=1) - 1.0).max() < 1e-14
-    assert signed_volume(mesh) == pytest.approx(4.0 * math.pi / 3.0, rel=0.01)
-    big = generate_latlong_sphere_mesh(120, 61)
-    assert big.n_nodes == 7202 and big.n_triangles == 14400
 
 
 def test_torus_counts_equation_volume():

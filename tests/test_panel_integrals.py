@@ -62,7 +62,7 @@ def random_poly(rng, degree):
 # --------------------------------------------------------------- moment sets
 
 def test_full_circle_slab_k_moments():
-    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, None, (0, 0, 0))], triangle=None)
+    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, None, (0, 0, 0))])
     c = 0.8
     m = compute_k_moments(dec, c, max_degree=3)
     s0 = math.hypot(0.5, c)
@@ -76,7 +76,7 @@ def test_full_circle_slab_k_moments():
 
 
 def test_full_circle_slab_g_moments():
-    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, None, (0, 0, 0))], triangle=None)
+    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, None, (0, 0, 0))])
     j0, jx, jy = compute_g_moments(dec, 0.0)
     assert j0 == pytest.approx(2.0 * math.pi * 1.5, rel=1e-14)
     assert jx == 0.0 and jy == 0.0

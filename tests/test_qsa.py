@@ -320,14 +320,6 @@ def test_foot_point_nonconvergent():
         foot_point(bad, np.zeros(3))
 
 
-def test_foot_point_mesh():
-    mesh = generate_sphere_mesh(3)
-    x = 1.2 * mesh.nodes[7]
-    foot, c = foot_point(mesh, x)
-    assert abs(np.linalg.norm(foot) - 1.0) < 5e-3
-    assert abs(c - 0.2) < 1e-2
-
-
 DENSITIES = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)] \
     + [PanelPolynomial.constant(1.0)]
 
