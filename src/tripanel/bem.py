@@ -43,6 +43,7 @@ matrix rows, sums rows, or contracts with the density.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -58,20 +59,15 @@ from .batch import (
 )
 from .curvature import (
     FundamentalForm,
+    estimate_fundamental_forms,
     estimate_normals,
     fundamental_form_from_shape,
     shape_operator,
-    sphere_probe,
     torus_probe,
 )
 from .errors import ConvergenceFailure, DivergentIntegral, MeshError
 from .geometry import Panel, Target, rotation_to_z
-from .mesh_io import (
-    SurfaceMesh,
-    generate_sphere_mesh,
-    generate_torus_mesh,
-    require_closed_outward,
-)
+from .mesh_io import SurfaceMesh, generate_torus_mesh, require_closed_outward
 from .panel_integrals import (
     FOUR_PI,
     PanelPolynomial,
@@ -79,7 +75,8 @@ from .panel_integrals import (
     integrate_k_panel,
 )
 from .qsa import foot_point, qsa_vertex_rows
-# a bem attribute that bench/layers.py traces; no operator here calls it
+# bem attributes that bench/layers.py traces; no operator here calls them
+from .mesh_io import generate_sphere_mesh  # noqa: F401
 from .qsa import qsa_on_boundary  # noqa: F401
 
 # the densities a pair is integrated against: the three vertex hats of a
@@ -549,43 +546,47 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     }
 
 
-def sphere_neumann_problem(subdivisions=4, strategy=SingularStrategy.QSA):
-    """Unit-sphere Neumann problem with du/dn = x1 (exact interior u = x1)."""
-    mesh = generate_sphere_mesh(subdivisions)
-    normals = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
-    forms = sphere_forms(mesh, radius=1.0)
-    system = assemble([mesh], strategy, [forms], normals=[normals],
-                      neumann_bc=lambda x: x[0])
-    return mesh, system
+def x1_flux(x):
+    """Neumann data du/dn = x1 (on the unit sphere, u = x1 + const)."""
+    return x[0]
 
 
-def torus_in_sphere_problem(subdivisions=4, n_u=48, n_v=24,
-                            major=0.4, minor=0.2,
-                            strategy=SingularStrategy.QSA):
-    """Insulating torus inside the unit sphere, driven by b = cos(phi).
+def cos_phi(x):
+    """Neumann data b = cos(phi) = x1/|(x1, x2)|, zero on the z-axis."""
+    rho = math.hypot(x[0], x[1])
+    return x[0] / rho if rho > 1e-12 else 0.0
 
-    Returns (meshes, system, probes): the sphere carries the Neumann data
-    b(x) = x1/|(x1, x2)| and the torus rows enforce zero flux from the
-    domain side.
+
+def neumann_problem(outer, bc, *, probe=None, torus=None,
+                    strategy=SingularStrategy.QSA):
+    """Interior Neumann problem du/dn = bc(x) on the mesh `outer` (true
+    surface `probe`, or None), optionally around an insulating torus
+    (major, minor, n_u, n_v) with its exact probe.  Returns (meshes,
+    system, probes).
+
+    One rule for every surface: node normals are the mesh's stored ones,
+    else the normalized probe gradient, else estimated; the forms are the
+    probe's at those normals, else the per-node fit.
     """
-    sphere = generate_sphere_mesh(subdivisions)
-    torus = generate_torus_mesh(major, minor, n_u, n_v)
-    s_norm = sphere.nodes / np.linalg.norm(sphere.nodes, axis=1, keepdims=True)
-    t_probe = torus_probe(major, minor)
-    t_norm = np.array([t_probe.gradient(x) for x in torus.nodes])
-    t_norm /= np.linalg.norm(t_norm, axis=1, keepdims=True)
-    forms = [sphere_forms(sphere, radius=1.0),
-             probe_forms(t_probe, torus.nodes, t_norm)]
-    probes = [sphere_probe(1.0), t_probe]
-
-    def bc(x):
-        rho = np.hypot(x[0], x[1])
-        return x[0] / rho if rho > 1e-12 else 0.0
-
-    system = assemble([sphere, torus], strategy, forms,
-                      normals=[s_norm, t_norm], probes=probes,
+    meshes, probes = [outer], [probe]
+    if torus is not None:
+        major, minor, n_u, n_v = torus
+        meshes.append(generate_torus_mesh(major, minor, int(n_u), int(n_v)))
+        probes.append(torus_probe(major, minor))
+    normals, forms = [], []
+    for mesh, surf in zip(meshes, probes):
+        nrm = mesh.node_normals
+        if nrm is None and surf is not None:
+            nrm = np.array([surf.gradient(x) for x in mesh.nodes])
+            nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        elif nrm is None:
+            nrm = estimate_normals(mesh)
+        normals.append(nrm)
+        forms.append(estimate_fundamental_forms(mesh, nrm) if surf is None
+                     else probe_forms(surf, mesh.nodes, nrm))
+    system = assemble(meshes, strategy, forms, normals=normals, probes=probes,
                       neumann_bc=bc)
-    return [sphere, torus], system, probes
+    return meshes, system, probes
 
 
 def export_solution(path, meshes, gamma, probes=None, u=None, **summary):

@@ -19,16 +19,18 @@ import numpy as np
 from .bem import (
     Regularization,
     SingularStrategy,
-    assemble,
+    cos_phi,
     evaluate_potential,
     export_solution,
     identity_row_parts,
     nodal_areas,
+    neumann_problem,
     probe_forms,
     solve,
     sphere_forms,
     sphere_identity_test,
     torus_flux_diagnostic,
+    x1_flux,
 )
 from .curvature import (
     FundamentalForm,
@@ -47,6 +49,7 @@ from .mesh_io import (
     load_mesh,
 )
 from .oracle import (
+    binned_max_slope,
     flat_panel_oracle,
     smallest_angle_deg,
     sphere_patch_oracle,
@@ -204,16 +207,7 @@ def cmd_sweep_singular(args) -> int:
         rel = abs(value - want) / max(abs(want), 1e-300)
         rows.append((trial, float(panel.diameter), angle,
                      float(value), float(want), float(rel)))
-    diams = np.array([r[1] for r in rows])
-    rels = np.array([r[5] for r in rows])
-    edges = np.geomspace(diams.min(), diams.max() * (1 + 1e-12), 9)
-    mids, tops = [], []
-    for k in range(len(edges) - 1):
-        mask = (diams >= edges[k]) & (diams < edges[k + 1])
-        if mask.any():
-            mids.append(math.sqrt(edges[k] * edges[k + 1]))
-            tops.append(rels[mask].max())
-    slope = float(np.polyfit(np.log(mids), np.log(tops), 1)[0])
+    slope = binned_max_slope([r[1] for r in rows], [r[5] for r in rows])
     _write_csv(args.out, "sweep-singular",
                ["trial", "diameter", "smallest_angle", "value_method",
                 "value_oracle", "rel_diff"], rows,
@@ -252,12 +246,6 @@ def cmd_sphere_test(args) -> int:
     return 0
 
 
-def _mesh_from_args(args):
-    if args.mesh:
-        return load_mesh(args.mesh)
-    return generate_sphere_mesh(args.sphere_subdivisions)
-
-
 def cmd_curvature(args) -> int:
     if args.mesh:
         mesh = load_mesh(args.mesh)
@@ -287,47 +275,19 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-_BCS = {
-    "x1-flux": lambda x: x[0],
-    "cos-phi": lambda x: x[0] / math.hypot(x[0], x[1])
-    if math.hypot(x[0], x[1]) > 1e-12 else 0.0,
-}
+_BCS = {"x1-flux": x1_flux, "cos-phi": cos_phi}
 
 
 def cmd_bem(args) -> int:
-    sphere = _mesh_from_args(args)
     if args.mesh:
-        # file-backed boundary: no analytic surface; the file's normals if
-        # it carries them, else estimated from the mesh
-        s_norm = sphere.node_normals
-        if s_norm is None:
-            s_norm = estimate_normals(sphere)
-        s_forms = estimate_fundamental_forms(sphere, s_norm)
-        s_probe = None
+        # file-backed boundary: no true surface to probe
+        outer, probe = load_mesh(args.mesh), None
     else:
-        s_norm = sphere.nodes / np.linalg.norm(sphere.nodes, axis=1,
-                                               keepdims=True)
-        s_forms = sphere_forms(sphere, radius=1.0)
-        s_probe = sphere_probe(1.0)
-    meshes = [sphere]
-    normals = [s_norm]
-    forms = [s_forms]
-    probes = [s_probe]
-    t_probe = None
-    if args.torus:
-        major, minor, n_u, n_v = args.torus
-        torus = generate_torus_mesh(major, minor, int(n_u), int(n_v))
-        t_probe = torus_probe(major, minor)
-        t_norm = np.array([t_probe.gradient(x) for x in torus.nodes])
-        t_norm /= np.linalg.norm(t_norm, axis=1, keepdims=True)
-        meshes.append(torus)
-        normals.append(t_norm)
-        forms.append(probe_forms(t_probe, torus.nodes, t_norm))
-        probes.append(t_probe)
-
+        outer = generate_sphere_mesh(args.sphere_subdivisions)
+        probe = sphere_probe(1.0)
     bc = _BCS[args.bc]
-    b = np.array([bc(x) for x in sphere.nodes])
-    weights = nodal_areas(sphere)
+    b = np.array([bc(x) for x in outer.nodes])
+    weights = nodal_areas(outer)
     net = float(b @ weights)
     scale = float(np.abs(b) @ weights)
     shift = 0.0
@@ -336,9 +296,10 @@ def cmd_bem(args) -> int:
               f"onto the compatible (mean-zero) part", file=sys.stderr)
         shift = net / weights.sum()
 
-    system = assemble(meshes, _STRATEGIES[args.strategy], forms,
-                      normals=normals, probes=probes,
-                      neumann_bc=lambda x: bc(x) - shift)
+    meshes, system, probes = neumann_problem(
+        outer, lambda x: bc(x) - shift, probe=probe, torus=args.torus,
+        strategy=_STRATEGIES[args.strategy])
+    t_probe = probes[1] if args.torus else None
     gamma = solve(system, Regularization.PinNode
                   if args.regularization == "pin-node" else Regularization.MeanZero)
     residual = float(np.linalg.norm(system.matrix @ gamma - system.rhs)

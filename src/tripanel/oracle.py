@@ -13,8 +13,8 @@ Integrands must be vectorized: they receive an (n, 2) array of points and
 return an (n,) array of values.
 
 The CLI sweeps and the tests share the oracles built on these rules (flat
-panel, unit-sphere patch) and the singular sweep's random panels; nothing
-here imports the closed-form modules.
+panel, unit-sphere patch), the singular sweep's random panels and its
+convergence slope; nothing here imports the closed-form modules.
 """
 
 from __future__ import annotations
@@ -354,3 +354,18 @@ def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
             if angle >= min_angle:
                 break
         yield panel, base, angle
+
+
+def binned_max_slope(diams, errors) -> float:
+    """Observed order of a sweep: the log-log fit of the largest error in
+    each of 8 geometric diameter bins against the bin's midpoint."""
+    diams = np.asarray(diams, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    edges = np.geomspace(diams.min(), diams.max() * (1 + 1e-12), 9)
+    mids, tops = [], []
+    for k in range(len(edges) - 1):
+        mask = (diams >= edges[k]) & (diams < edges[k + 1])
+        if mask.any():
+            mids.append(math.sqrt(edges[k] * edges[k + 1]))
+            tops.append(errors[mask].max())
+    return float(np.polyfit(np.log(mids), np.log(tops), 1)[0])

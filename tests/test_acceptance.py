@@ -17,22 +17,24 @@ from scipy.integrate import quad
 from tripanel.bem import (
     Regularization,
     SingularStrategy,
+    cos_phi,
     enclosing_flux,
     evaluate_potential,
     identity_row_parts,
     kernel_k,
+    neumann_problem,
     probe_forms,
     solve,
     sphere_forms,
     sphere_identity_test,
-    sphere_neumann_problem,
     torus_flux_diagnostic,
-    torus_in_sphere_problem,
+    x1_flux,
 )
 from tripanel.cli import main
 from tripanel.curvature import (
     FundamentalForm,
     estimate_fundamental_forms,
+    sphere_probe,
     torus_probe,
 )
 from tripanel.errors import DivergentIntegral, TripanelError
@@ -49,6 +51,7 @@ from tripanel.mesh_io import (
     generate_torus_mesh,
 )
 from tripanel.oracle import (
+    binned_max_slope,
     flat_panel_oracle,
     sphere_patch_oracle,
     sphere_vertex_panels,
@@ -226,15 +229,8 @@ def test_criterion_4_qsa_slope_and_centroid_comparison():
         rows.append((panel.diameter, angle, e_qsa / abs(want),
                      e_cen / abs(want), e_star / abs(want)))
     rows = np.array(rows)
-    diams, rels = rows[:, 0], rows[:, 2]
-    edges = np.geomspace(diams.min(), diams.max() * (1 + 1e-12), 9)
-    mids, tops = [], []
-    for k in range(8):
-        m = (diams >= edges[k]) & (diams < edges[k + 1])
-        if m.any():
-            mids.append(math.sqrt(edges[k] * edges[k + 1]))
-            tops.append(rels[m].max())
-    slope = float(np.polyfit(np.log(mids), np.log(tops), 1)[0])
+    rels = rows[:, 2]
+    slope = binned_max_slope(rows[:, 0], rels)
     quart = rows[np.argsort(rows[:, 1])[:100]]
     med = np.median(quart, axis=0)
     ok = (1.5 <= slope <= 2.5 and rels.max() < 1.0
@@ -319,7 +315,8 @@ def golden_directions(m):
 
 
 def test_criterion_7_sphere_neumann():
-    meshes, system = sphere_neumann_problem(subdivisions=4)
+    meshes, system, _ = neumann_problem(generate_sphere_mesh(4), x1_flux,
+                                        probe=sphere_probe(1.0))
     gamma = solve(system, Regularization.MeanZero)
     residual = (np.linalg.norm(system.matrix @ gamma - system.rhs)
                 / np.linalg.norm(system.rhs))
@@ -336,8 +333,9 @@ def test_criterion_7_sphere_neumann():
 
 
 def test_criterion_7_torus_insulator():
-    meshes, system, probes = torus_in_sphere_problem(subdivisions=4,
-                                                     n_u=64, n_v=32)
+    meshes, system, probes = neumann_problem(generate_sphere_mesh(4), cos_phi,
+                                             probe=sphere_probe(1.0),
+                                             torus=(0.4, 0.2, 64, 32))
     gamma = solve(system, Regularization.MeanZero)
     residual = (np.linalg.norm(system.matrix @ gamma - system.rhs)
                 / np.linalg.norm(system.rhs))

@@ -11,7 +11,6 @@ from tripanel.batch import (
     panel_frames,
     tangent_frames,
 )
-from tripanel.curvature import torus_probe
 from tripanel.geometry import Panel, Target
 from tripanel.mesh_io import generate_sphere_mesh, generate_torus_mesh
 from tripanel.panel_integrals import (
@@ -250,13 +249,12 @@ def _worst_against_scalar(x, n_x, verts):
 
 
 def test_entries_match_scalar_on_every_bem_pair():
-    # every unflagged node pair of torus_in_sphere_problem(1, 8, 4), with
-    # the assembly's normals, and seeded rows of an icosphere
+    # every unflagged node pair of the ico-1 sphere around the 8 x 4 torus,
+    # with the torus's stored normals, and seeded rows of an icosphere
     sphere = generate_sphere_mesh(1)
     torus = generate_torus_mesh(0.4, 0.2, 8, 4)
-    t_norm = np.array([torus_probe(0.4, 0.2).gradient(p) for p in torus.nodes])
     x = np.concatenate([sphere.nodes, torus.nodes])
-    n_x = np.concatenate([sphere.nodes, t_norm])
+    n_x = np.concatenate([sphere.nodes, torus.node_normals])
     n_x /= np.linalg.norm(n_x, axis=1, keepdims=True)
     tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
     ico = generate_sphere_mesh(2)

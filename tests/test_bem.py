@@ -10,22 +10,29 @@ from tripanel.bem import (
     Regularization,
     SingularStrategy,
     assemble,
+    cos_phi,
     enclosing_flux,
     evaluate_potential,
     export_solution,
     identity_row_parts,
     kernel_k,
+    neumann_problem,
     nodal_areas,
     potential_gradient,
+    probe_forms,
     single_layer_matrix,
     solve,
     sphere_forms,
     sphere_identity_test,
-    sphere_neumann_problem,
     torus_flux_diagnostic,
-    torus_in_sphere_problem,
+    x1_flux,
 )
-from tripanel.curvature import estimate_normals, sphere_probe, torus_probe
+from tripanel.curvature import (
+    estimate_fundamental_forms,
+    estimate_normals,
+    sphere_probe,
+    torus_probe,
+)
 from tripanel.errors import ConvergenceFailure, DivergentIntegral, MeshError
 from tripanel.geometry import Panel, Target
 from tripanel.mesh_io import (
@@ -56,7 +63,8 @@ def test_nodal_areas_sum_to_mesh_area():
 def test_assemble_k_row_sums_near_half():
     # K-part row sums approximate the closed-surface identity value 0.5,
     # so the assembled rows (with the -1/2 jump on the diagonal) sum to ~0
-    mesh, system = sphere_neumann_problem(subdivisions=2)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(2), x1_flux,
+                                         probe=sphere_probe(1.0))
     assert np.isfinite(system.matrix).all()
     assert np.abs(system.matrix.sum(axis=1)).max() < 3e-2
 
@@ -106,7 +114,8 @@ def test_missing_curvature_data_raises():
 
 
 def test_solve_residual_and_gauge_agreement():
-    mesh, system = sphere_neumann_problem(subdivisions=2)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(2), x1_flux,
+                                         probe=sphere_probe(1.0))
     u_at = {}
     pts = np.array([[0.3, 0.0, 0.1], [0.0, -0.4, 0.2], [0.25, 0.25, -0.3]])
     for reg in Regularization:
@@ -128,7 +137,8 @@ def test_solve_singular_matrix_raises():
 
 
 def test_sphere_neumann_interior_potential():
-    mesh, system = sphere_neumann_problem(subdivisions=2)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(2), x1_flux,
+                                         probe=sphere_probe(1.0))
     gamma = solve(system, Regularization.MeanZero)
     rng = np.random.default_rng(5)
     d = rng.normal(size=(20, 3))
@@ -169,7 +179,8 @@ def test_far_potential_matches_adaptive_oracle():
 
 
 def test_gradient_matches_finite_differences():
-    mesh, system = sphere_neumann_problem(subdivisions=1)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(1), x1_flux,
+                                         probe=sphere_probe(1.0))
     gamma = solve(system, Regularization.MeanZero)
     pts = np.array([[0.3, 0.1, -0.2], [0.0, 0.4, 0.1]])
     grad = potential_gradient([mesh], gamma, pts)
@@ -181,7 +192,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_potential_is_harmonic_off_surface():
-    mesh, system = sphere_neumann_problem(subdivisions=1)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(1), x1_flux,
+                                         probe=sphere_probe(1.0))
     gamma = solve(system, Regularization.MeanZero)
     x = np.array([0.25, -0.1, 0.3])
     h = 1e-2
@@ -256,7 +268,9 @@ def test_gradient_axes_share_one_pair_pass_bit_for_bit():
     # as every point's normal, to the bit; the in-plane points off their
     # panel (c = 0) are flagged by the batch, so the scalar fallback runs
     # once per axis
-    meshes, system, _ = torus_in_sphere_problem(1, 8, 4)
+    meshes, system, _ = neumann_problem(generate_sphere_mesh(1), cos_phi,
+                                        probe=sphere_probe(1.0),
+                                        torus=(0.4, 0.2, 8, 4))
     gamma = np.random.default_rng(6).normal(size=system.n)
     asm = bem._Assembly(meshes)
     panels = [0, 9, 33]
@@ -299,6 +313,36 @@ def test_assemble_defaults_to_stored_node_normals():
     assert np.array_equal(stored, given)
 
 
+def test_neumann_problem_prefers_stored_normals_to_the_probe():
+    # tilted stored normals and a sphere probe: the builder takes the
+    # stored normals and the probe's forms at them, not the probe's normals
+    base = generate_sphere_mesh(1)
+    tilted = unit_normals(base) + np.array([0.2, -0.1, 0.05])
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    mesh = SurfaceMesh(base.nodes, base.triangles, node_normals=tilted)
+    probe = sphere_probe(1.0)
+    meshes, system, probes = neumann_problem(mesh, x1_flux, probe=probe)
+    want = assemble([mesh], SingularStrategy.QSA,
+                    [probe_forms(probe, mesh.nodes, tilted)], normals=[tilted],
+                    probes=[probe], neumann_bc=x1_flux)
+    assert meshes[0] is mesh and probes[0] is probe and len(meshes) == 1
+    assert np.array_equal(system.matrix, want.matrix)
+    assert np.array_equal(system.rhs, want.rhs)
+
+
+def test_neumann_problem_estimates_for_a_bare_mesh():
+    # no stored normals and no probe: estimated normals, fitted forms
+    mesh = generate_sphere_mesh(1)
+    _, system, probes = neumann_problem(mesh, x1_flux,
+                                        strategy=SingularStrategy.CentroidStar)
+    normals = estimate_normals(mesh)
+    want = assemble([mesh], SingularStrategy.CentroidStar,
+                    [estimate_fundamental_forms(mesh, normals)],
+                    normals=[normals], neumann_bc=x1_flux)
+    assert probes == [None]
+    assert np.array_equal(system.matrix, want.matrix)
+
+
 def test_kernel_k_pointwise():
     x = np.array([0.0, 0.0, 1.0])
     n = np.array([0.0, 0.0, 1.0])
@@ -307,7 +351,9 @@ def test_kernel_k_pointwise():
 
 
 def test_torus_demo_coarse_smoke():
-    meshes, system, probes = torus_in_sphere_problem(subdivisions=2, n_u=24, n_v=12)
+    meshes, system, probes = neumann_problem(generate_sphere_mesh(2), cos_phi,
+                                             probe=sphere_probe(1.0),
+                                             torus=(0.4, 0.2, 24, 12))
     assert system.n == meshes[0].n_nodes + meshes[1].n_nodes
     gamma = solve(system, Regularization.MeanZero)
     resid = np.linalg.norm(system.matrix @ gamma - system.rhs)
@@ -392,7 +438,8 @@ def test_assemble_rejects_open_or_inward_meshes():
 
 
 def test_pin_node_gauge_is_the_single_layer_column_mean():
-    mesh, system = sphere_neumann_problem(subdivisions=1)
+    (mesh,), system, _ = neumann_problem(generate_sphere_mesh(1), x1_flux,
+                                         probe=sphere_probe(1.0))
     gamma = solve(system, Regularization.PinNode)
     weights = single_layer_matrix([mesh]).mean(axis=0)
     assert abs(weights @ gamma) <= 1e-12 * np.abs(weights).sum() * np.abs(gamma).max()
@@ -416,7 +463,8 @@ def test_flagged_pairs_take_one_scalar_call(monkeypatch):
 
     monkeypatch.setattr(bem, "k_panel_entries", batch)
     monkeypatch.setattr(bem, "integrate_k_panel", scalar)
-    meshes, _, _ = torus_in_sphere_problem(1, 8, 4)
+    meshes, _, _ = neumann_problem(generate_sphere_mesh(1), cos_phi,
+                                   probe=sphere_probe(1.0), torus=(0.4, 0.2, 8, 4))
     tris = np.concatenate([meshes[0].triangles,
                            meshes[1].triangles + meshes[0].n_nodes])
     incident = np.zeros((tris.max() + 1, len(tris)), dtype=bool)
@@ -431,7 +479,9 @@ def test_block_size_changes_nothing(monkeypatch):
     # with the whole problem in one block
     def run(budget):
         monkeypatch.setattr(bem, "_PAIR_BUDGET", budget)
-        meshes, system, _ = torus_in_sphere_problem(1, 8, 4)
+        meshes, system, _ = neumann_problem(generate_sphere_mesh(1), cos_phi,
+                                            probe=sphere_probe(1.0),
+                                            torus=(0.4, 0.2, 8, 4))
         gamma = np.random.default_rng(3).normal(size=system.n)
         points = np.random.default_rng(4).uniform(-0.9, 0.9, (30, 3))
         return (system.matrix,
@@ -439,7 +489,9 @@ def test_block_size_changes_nothing(monkeypatch):
                 evaluate_potential(meshes, gamma, points),
                 potential_gradient(meshes, gamma, points))
 
-    panels = sum(m.n_triangles for m in torus_in_sphere_problem(1, 8, 4)[0])
+    meshes = neumann_problem(generate_sphere_mesh(1), cos_phi,
+                             probe=sphere_probe(1.0), torus=(0.4, 0.2, 8, 4))[0]
+    panels = sum(m.n_triangles for m in meshes)
     one_row, one_block = run(panels), run(10 ** 9)
     for a, b in zip(one_row, one_block):
         if isinstance(a, list):

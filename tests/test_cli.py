@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tripanel.cli import main
+from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, load_mesh, save_mesh
 
 TRI = ["--verts", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
 
@@ -160,3 +161,21 @@ def test_bem_command_sphere_smoke(capsys, tmp_path):
     assert all(math.isnan(v) for v in corner)
     # x1 flux drives a dipole-like field: u should change sign across x=0
     assert min(inside) < 0.0 < max(inside)
+
+
+@pytest.mark.parametrize("fmt", ["json", "off"])
+def test_bem_command_mesh_file(capsys, tmp_path, fmt):
+    # a JSON file keeps the stored normals and an OFF file drops them: the
+    # solve takes the stored ones or estimates them, and fits the forms
+    base = generate_sphere_mesh(1)
+    unit = base.nodes / np.linalg.norm(base.nodes, axis=1, keepdims=True)
+    path = tmp_path / f"sphere.{fmt}"
+    save_mesh(SurfaceMesh(base.nodes, base.triangles, node_normals=unit), path)
+    assert (load_mesh(path).node_normals is None) == (fmt == "off")
+    js, csv = tmp_path / "u.json", tmp_path / "u.csv"
+    code, _, _ = run(["bem", "--mesh", str(path), "--grid", "5",
+                      "--out-json", str(js), "--out-csv", str(csv)], capsys)
+    assert code == 0
+    doc = json.loads(js.read_text())
+    assert doc["residual"] < 1e-8
+    assert doc["n_nodes"] == 42

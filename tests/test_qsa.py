@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tripanel.bem import probe_forms, sphere_forms, torus_in_sphere_problem
+from tripanel.bem import cos_phi, neumann_problem, probe_forms, sphere_forms
 from tripanel.curvature import FundamentalForm, sphere_probe, torus_probe
 from tripanel.errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
 from tripanel.geometry import Panel, Target, rotation_to_z
@@ -344,12 +344,13 @@ def test_vertex_rows_match_one_row_calls(case):
         normals = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
         forms = sphere_forms(mesh, radius=1.0)
     else:
-        meshes, _, probes = torus_in_sphere_problem(2, 24, 12)
+        meshes, _, probes = neumann_problem(generate_sphere_mesh(2), cos_phi,
+                                            probe=sphere_probe(1.0),
+                                            torus=(0.4, 0.2, 24, 12))
         sphere, torus = meshes
         nodes = np.concatenate([sphere.nodes, torus.nodes])
         tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
-        t_norm = np.array([probes[1].gradient(x) for x in torus.nodes])
-        normals = np.concatenate([sphere.nodes, t_norm])
+        normals = np.concatenate([sphere.nodes, torus.node_normals])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         forms = (sphere_forms(sphere, radius=1.0)
                  + probe_forms(probes[1], torus.nodes, normals[sphere.n_nodes:]))
