@@ -67,7 +67,8 @@ from .curvature import (
 )
 from .errors import ConvergenceFailure, DivergentIntegral, MeshError
 from .geometry import Panel, Target, rotation_to_z
-from .mesh_io import SurfaceMesh, generate_torus_mesh, require_closed_outward
+from .mesh_io import (SurfaceMesh, generate_torus_mesh, golden_spiral,
+                      require_closed_outward)
 from .panel_integrals import (
     FOUR_PI,
     PanelPolynomial,
@@ -416,8 +417,8 @@ def solve(system: BemSystem, regularization=Regularization.PinNode):
     The pure-Neumann operator has a one-dimensional kernel (the
     equilibrium density), so one scalar constraint is appended through a
     bordered square system.  PinNode pins the mean over nodes of the
-    single-layer potential to zero; MeanZero pins the area-weighted mean
-    of gamma itself.
+    single-layer potential to zero (the column means of
+    single_layer_matrix); MeanZero the area-weighted mean of gamma.
     """
     a = system.matrix
     b = system.rhs
@@ -425,7 +426,7 @@ def solve(system: BemSystem, regularization=Regularization.PinNode):
     if regularization is Regularization.MeanZero:
         weights = np.concatenate([nodal_areas(m) for m in system.meshes])
     else:
-        weights = _single_layer_column_means(system.meshes)
+        weights = single_layer_matrix(system.meshes).mean(axis=0)
     scale = np.abs(weights).sum() / n
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = a
@@ -446,16 +447,6 @@ def single_layer_matrix(meshes):
     for start, stop, vals, _ in _pair_blocks(asm, asm.nodes, None, _HATS):
         out[start:stop] = _scatter(asm, vals)
     return out
-
-
-def _single_layer_column_means(meshes):
-    """Column means of single_layer_matrix, without building it."""
-    asm = _Assembly(meshes)
-    colsum = np.zeros(len(asm.nodes))
-    for _, _, vals, _ in _pair_blocks(asm, asm.nodes, None, _HATS):
-        colsum += np.bincount(asm.tris.ravel(), weights=vals.sum(axis=0).ravel(),
-                              minlength=len(asm.nodes))
-    return colsum / len(asm.nodes)
 
 
 def _layer_values(asm, gamma, points, normals):
@@ -503,12 +494,7 @@ def enclosing_flux(meshes, gamma, radius=0.7, center=None, n=400):
     insulating interfaces, since u is harmonic between the layers.
     """
     center = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    dirs = np.column_stack([rho * np.cos(golden * i),
-                            rho * np.sin(golden * i), z])
+    dirs = golden_spiral(n)
     grad = potential_gradient(meshes, gamma, center + radius * dirs)
     return float((grad * dirs).sum(1).mean() * 4.0 * np.pi * radius ** 2)
 

@@ -51,6 +51,7 @@ from .mesh_io import (
 from .oracle import (
     binned_max_slope,
     flat_panel_oracle,
+    north_pole_panels,
     smallest_angle_deg,
     sphere_patch_oracle,
     sphere_vertex_panels,
@@ -59,6 +60,8 @@ from .panel_integrals import PanelPolynomial, integrate_g_panel, integrate_k_pan
 from .qsa import qsa_on_boundary
 
 SCHEMA = "tripanel-csv v1"
+_SWEEP_HEADER = ["trial", "diameter", "smallest_angle", "value_method",
+                 "value_oracle", "rel_diff"]
 
 
 def _fmt(v) -> str:
@@ -150,29 +153,26 @@ def cmd_tri_integrate(args) -> int:
     return 0
 
 
+def _trial_count(text):
+    """--trials: a sweep of no trials has no result to report."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _spawned_rngs(seed, trials):
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
 def cmd_sweep_near_singular(args) -> int:
-    lo, hi = args.coord_range
     n = np.full(3, math.sqrt(3.0) / 3.0)
     rows = []
     for trial, rng in enumerate(_spawned_rngs(args.seed, args.trials)):
-        # resample until the panel is usable, the flat value exists, and
-        # the oracle certifies convergence
-        while True:
-            xy = rng.uniform(lo, hi, size=(3, 2))
-            z = np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0
-            verts = np.column_stack([xy, z])
-            try:
-                panel = Panel(*verts)
-            except TripanelError:
-                continue
-            c = rng.uniform(*args.c_range)
-            x = np.array([0.0, 0.0, c])
-            p = _poly_for(args.poly, verts)
+        # redraw until the flat value exists and the oracle converges
+        for panel, x in north_pole_panels(rng, args.coord_range, args.c_range):
+            p = _poly_for(args.poly, panel.verts)
             try:
                 if args.kernel == "K":
                     value = integrate_k_panel(panel, Target(x, n), p)
@@ -180,16 +180,15 @@ def cmd_sweep_near_singular(args) -> int:
                     value = integrate_g_panel(panel, Target(x), p)
             except DivergentIntegral:
                 continue
-            want, ok = flat_panel_oracle(args.kernel, verts, x, n, p,
+            want, ok = flat_panel_oracle(args.kernel, panel.verts, x, n, p,
                                          rel_tol=args.oracle_tol)
             if ok:
                 break
         rel = abs(value - want) / max(abs(want), 1e-10 * panel.area)
-        rows.append((trial, float(panel.diameter), smallest_angle_deg(verts),
+        rows.append((trial, float(panel.diameter),
+                     smallest_angle_deg(panel.verts),
                      float(value), float(want), float(rel)))
-    _write_csv(args.out, "sweep-near-singular",
-               ["trial", "diameter", "smallest_angle", "value_method",
-                "value_oracle", "rel_diff"], rows)
+    _write_csv(args.out, "sweep-near-singular", _SWEEP_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} trials, max rel_diff "
           f"{max(r[5] for r in rows):.3e}")
     return 0
@@ -208,9 +207,7 @@ def cmd_sweep_singular(args) -> int:
         rows.append((trial, float(panel.diameter), angle,
                      float(value), float(want), float(rel)))
     slope = binned_max_slope([r[1] for r in rows], [r[5] for r in rows])
-    _write_csv(args.out, "sweep-singular",
-               ["trial", "diameter", "smallest_angle", "value_method",
-                "value_oracle", "rel_diff"], rows,
+    _write_csv(args.out, "sweep-singular", _SWEEP_HEADER, rows,
                trailer=f"# loglog_slope {_fmt(slope)}")
     print(f"wrote {args.out}: {len(rows)} trials, binned-max slope {slope:.3f}")
     return 0
@@ -357,7 +354,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-near-singular",
                        help="seeded panels on the sphere vs adaptive oracle")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_trial_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coord-range", type=float, nargs=2, default=[-0.01, 0.01])
     p.add_argument("--c-range", type=float, nargs=2, default=[-0.01, 0.01])
@@ -369,7 +366,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-singular",
                        help="QSA at a panel vertex vs curved-patch oracle")
-    p.add_argument("--trials", type=int, default=400)
+    p.add_argument("--trials", type=_trial_count, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--diam-range", type=float, nargs=2, default=[1e-3, 1e-1])
     p.add_argument("--min-angle", type=float, default=5.0,

@@ -184,6 +184,16 @@ def generate_sphere_mesh(subdivisions: int) -> SurfaceMesh:
     return SurfaceMesh(np.array(verts), np.array(faces, dtype=int))
 
 
+def golden_spiral(n: int) -> np.ndarray:
+    """n quasi-uniform unit vectors (n, 3): equal steps in z from pole to
+    pole, turning by the golden angle 2 pi / golden^2 between points."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = 2.0 * math.pi * i / _GOLDEN ** 2
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
 def generate_fibonacci_sphere_mesh(n_nodes: int) -> SurfaceMesh:
     """Quasi-uniform unit sphere: golden-angle spiral nodes, hull connectivity.
 
@@ -194,11 +204,7 @@ def generate_fibonacci_sphere_mesh(n_nodes: int) -> SurfaceMesh:
         raise ValueError("need at least 4 nodes")
     from scipy.spatial import ConvexHull
 
-    i = np.arange(n_nodes)
-    z = 1.0 - (2.0 * i + 1.0) / n_nodes
-    phi = 2.0 * math.pi * i / _GOLDEN ** 2
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    nodes = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    nodes = golden_spiral(n_nodes)
     faces = ConvexHull(nodes).simplices.copy()
     pts = nodes[faces]
     outward = np.einsum("ij,ij->i",

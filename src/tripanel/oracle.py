@@ -13,8 +13,9 @@ Integrands must be vectorized: they receive an (n, 2) array of points and
 return an (n,) array of values.
 
 The CLI sweeps and the tests share the oracles built on these rules (flat
-panel, unit-sphere patch), the singular sweep's random panels and its
-convergence slope; nothing here imports the closed-form modules.
+panel, unit-sphere patch), the sweeps' random panels (near the pole, at a
+vertex) and the singular sweep's convergence slope; nothing here imports
+the closed-form modules.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .errors import DegenerateTriangle
 from .geometry import Panel, rotation_to_z
 
 # Subdivision is forced next to a flagged singular corner for this many levels
@@ -199,19 +201,6 @@ def adaptive_patch(f, chart, domain, rel_tol: float = 1e-10, abs_tol: float = 1e
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def triangle_chart(v0, v1, v2):
-    """Affine chart over REFERENCE_TRIANGLE onto the flat 3D triangle (v0,v1,v2)."""
-    v0, v1, v2 = (np.asarray(v, dtype=float) for v in (v0, v1, v2))
-    jac = float(np.linalg.norm(np.cross(v1 - v0, v2 - v0)))
-
-    def chart(pts):
-        u, v = pts[:, 0, None], pts[:, 1, None]
-        y = v0 + u * (v1 - v0) + v * (v2 - v0)
-        return y, np.full(pts.shape[0], jac)
-
-    return chart
-
-
 def sphere_patch_chart(v0, v1, v2, radius: float = 1.0, center=None):
     """Radial projection of the flat triangle (v0,v1,v2) onto a sphere.
 
@@ -356,9 +345,24 @@ def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
         yield panel, base, angle
 
 
+def north_pole_panels(rng, coord_range=(-0.01, 0.01), c_range=(-0.01, 0.01)):
+    """Random panels on the unit sphere shifted so its north pole is the
+    origin, vertex x and y uniform in coord_range (degenerate ones redrawn),
+    and the target (0, 0, c), c uniform in c_range; yields (panel, x)."""
+    while True:
+        xy = rng.uniform(*coord_range, size=(3, 2))
+        z = np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0
+        try:
+            panel = Panel(*np.column_stack([xy, z]))
+        except DegenerateTriangle:
+            continue
+        yield panel, np.array([0.0, 0.0, rng.uniform(*c_range)])
+
+
 def binned_max_slope(diams, errors) -> float:
     """Observed order of a sweep: the log-log fit of the largest error in
-    each of 8 geometric diameter bins against the bin's midpoint."""
+    each of 8 geometric diameter bins against the bin's midpoint; raises
+    ValueError when fewer than two bins hold a panel."""
     diams = np.asarray(diams, dtype=float)
     errors = np.asarray(errors, dtype=float)
     edges = np.geomspace(diams.min(), diams.max() * (1 + 1e-12), 9)
@@ -368,4 +372,7 @@ def binned_max_slope(diams, errors) -> float:
         if mask.any():
             mids.append(math.sqrt(edges[k] * edges[k + 1]))
             tops.append(errors[mask].max())
+    if len(mids) < 2:
+        raise ValueError(f"a slope needs panels in at least two diameter "
+                         f"bins, got {len(mids)} (sweep more trials)")
     return float(np.polyfit(np.log(mids), np.log(tops), 1)[0])

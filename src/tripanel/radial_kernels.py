@@ -13,12 +13,12 @@ arccos(d/r) is arctan2(Q, d), and arctan(c*q)/c uses a 4-term odd series
 when |c*q| is tiny.  r, c and d are Python floats and every primitive is
 plain `math`.  `definite_radials` checks a boundary (r_lo, r_hi, c, d)
 once and evaluates S, Q, the angle, the log and the arctan term once per
-endpoint for every kind requested; `definite_radial` and
-`radial_primitive` are its one-kind views, so each formula lives in one
-place (`_primitives`).  The one array function is `_atan_ratio`, the
-batch module's lane of arctan(c*q)/c; it shares the series with the
-float lane.  Domains are validated, and DivergentIntegral is raised where
-the antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
+endpoint for every kind requested; `definite_radial` is its one-kind
+view, so each formula lives in one place (`_primitives`).  The one array
+function is `_atan_ratio`, the batch module's lane of arctan(c*q)/c; it
+shares the series with the float lane.  Domains are validated, and
+DivergentIntegral is raised where the antiderivative is -inf (r=0 with
+c=0 for R1/R2/R3).
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ def _prepare(c, d):
     return (0.0 if c < _CLAMP else c), (0.0 if d < _CLAMP else d)
 
 
-def _kind(kind) -> RadialKind:
-    return kind if type(kind) is RadialKind else RadialKind(kind)
-
-
 def _radius(kinds, r: float, c: float, d: float) -> float:
     """r checked against the prepared c and d, and raised to d if just below."""
     r = float(r)
@@ -198,22 +194,11 @@ def definite_radials(kinds, r_lo: float, r_hi: float, c: float, d: float) -> lis
     return [a - b for a, b in zip(hi, lo)]
 
 
-def radial_primitive(kind: RadialKind, r: float, c: float, d: float) -> float:
-    """Antiderivative of the selected radial integrand, evaluated at r.
-
-    The sign of c is immaterial; |c| and d below 1e-14 snap to the exact
-    degenerate branches.  Raises DivergentIntegral where the primitive is
-    -infinity (R1/R2/R3 at r=0 with c=0) and ValueError outside r >= d >= 0.
-    """
-    kinds = (_kind(kind),)
-    c, d = _prepare(c, d)
-    return _primitives(kinds, _radius(kinds, r, c, d), c, d)[0]
-
-
 def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,
                     c: float, d: float) -> float:
-    """primitive(r_hi) - primitive(r_lo); propagates DivergentIntegral."""
-    return definite_radials((_kind(kind),), r_lo, r_hi, c, d)[0]
+    """primitive(r_hi) - primitive(r_lo) of one kind; the sign of c is
+    immaterial, and |c| and d below 1e-14 snap to the degenerate branches."""
+    return definite_radials((RadialKind(kind),), r_lo, r_hi, c, d)[0]
 
 
 def radial_integrand(kind: RadialKind, r: float, c: float, d: float) -> float:

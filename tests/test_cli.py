@@ -111,6 +111,25 @@ def test_singular_sweep_schema_and_accuracy(capsys, tmp_path):
     assert all(float(r[5]) < 0.05 for r in rows)
 
 
+@pytest.mark.parametrize("sub", ["sweep-near-singular", "sweep-singular"])
+def test_sweep_without_trials_exits_1(capsys, tmp_path, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--trials", "0", "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 1
+    assert "--trials: must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_singular_sweep_too_small_for_a_slope_exits_1(capsys, tmp_path):
+    # one trial fills one diameter bin, and a slope needs two
+    out = tmp_path / "s.csv"
+    code, _, err = run(["sweep-singular", "--trials", "1", "--seed", "2024",
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert "at least two diameter bins, got 1" in err
+    assert not out.exists()
+
+
 def test_sphere_test_command(capsys, tmp_path):
     out = tmp_path / "sp.csv"
     code, text, _ = run(["sphere-test", "--subdivisions", "2",

@@ -19,8 +19,8 @@ from tripanel.oracle import (
     adaptive_patch,
     adaptive_triangle,
     duffy_integrate,
+    north_pole_panels,
     sphere_patch_chart,
-    triangle_chart,
 )
 
 # triangle used throughout the decomposition examples
@@ -114,18 +114,6 @@ def test_affine_triangle_monomials(p, q):
     assert res.value == pytest.approx(exact_ref_monomial(p, q), rel=1e-12, abs=1e-15)
 
 
-def test_flat_chart_matches_planar():
-    v0, v1, v2 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]), np.array([0.0, 2.0, 1.0])
-    chart = triangle_chart(v0, v1, v2)
-    f = lambda y: y[:, 0] + y[:, 1] ** 2 + y[:, 2]
-    res = adaptive_patch(f, chart, REFERENCE_TRIANGLE, rel_tol=1e-12)
-    # same integrand expressed directly in the plane z=1
-    g = lambda s: s[:, 0] + s[:, 1] ** 2 + 1.0
-    tri2d = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-    ref = adaptive_triangle(g, tri2d, rel_tol=1e-12)
-    assert res.value == pytest.approx(ref.value, rel=1e-11)
-
-
 def spherical_excess(a, b, c):
     """Girard: area of the geodesic triangle (a,b,c) on the unit sphere."""
     def angle(u, v, w):
@@ -147,6 +135,17 @@ def test_sphere_patch_area_girard():
     assert spherical_excess(a, b, c) == pytest.approx(math.pi / 2, abs=1e-14)
     assert res.converged
     assert res.value == pytest.approx(math.pi / 2, abs=1e-8)
+
+
+def test_patch_integrand_sees_the_chart_points():
+    # the Girard tests integrate a constant; z over the octant patch
+    # checks that the integrand is evaluated at the mapped points:
+    # int z dA = int_0^{pi/2} cos(t) sin(t) dt * pi/2 = pi/4
+    chart = sphere_patch_chart(*np.eye(3))
+    res = adaptive_patch(lambda y: y[:, 2], chart, REFERENCE_TRIANGLE,
+                         rel_tol=1e-10)
+    assert res.converged
+    assert res.value == pytest.approx(math.pi / 4, abs=1e-8)
 
 
 def test_sphere_patch_area_girard_generic():
@@ -177,3 +176,12 @@ def test_duffy_smooth_consistency():
     ref = adaptive_triangle(f, TRI, rel_tol=1e-12)
     for corner in range(3):
         assert duffy_integrate(f, TRI, corner=corner, n=30) == pytest.approx(ref.value, rel=1e-10)
+
+
+def test_north_pole_panels_lie_on_the_shifted_sphere():
+    draws = north_pole_panels(np.random.default_rng(3), (-0.02, 0.01), (0.5, 0.6))
+    for _, (panel, x) in zip(range(50), draws):
+        v = panel.verts
+        assert np.all((v[:, :2] >= -0.02) & (v[:, :2] <= 0.01))
+        assert np.linalg.norm(v + [0.0, 0.0, 1.0], axis=1) == pytest.approx(1.0, abs=1e-15)
+        assert x[0] == x[1] == 0.0 and 0.5 <= x[2] <= 0.6

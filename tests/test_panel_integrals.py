@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from tripanel.errors import DegenerateTriangle, DivergentIntegral
 from tripanel.geometry import (Panel, PolarDecomposition, PolarSlab, Target, decompose_polar,
                                orient_planar, rotation_to_z)
-from tripanel.oracle import adaptive_triangle, duffy_integrate, flat_panel_oracle
+from tripanel.oracle import (adaptive_triangle, duffy_integrate, flat_panel_oracle,
+                             north_pole_panels)
 from tripanel.panel_integrals import (
     MONOMIALS,
     PanelPolynomial,
@@ -542,19 +543,10 @@ def test_k_near_vertex_at_the_absolute_floors(verts, c):
 def test_k_near_singular_sphere_panels():
     # panels on the unit sphere shifted so the north pole is the origin;
     # targets hover just off the surface
-    rng = np.random.default_rng(5150)
     n = np.full(3, math.sqrt(3.0) / 3.0)
     done = 0
-    while done < 40:
-        xy = rng.uniform(-0.01, 0.01, size=(3, 2))
-        z = np.sqrt(1.0 - xy[:, 0] ** 2 - xy[:, 1] ** 2) - 1.0
-        verts = np.column_stack([xy, z])
-        try:
-            panel = Panel(*verts)
-        except Exception:
-            continue
-        c = rng.uniform(-0.01, 0.01)
-        x = np.array([0.0, 0.0, c])
+    for panel, x in north_pole_panels(np.random.default_rng(5150)):
+        verts = panel.verts
         p_lin = PanelPolynomial.linear(verts[:, 0])  # world x-coordinate
         for p in (None, p_lin):
             try:
@@ -571,6 +563,8 @@ def test_k_near_singular_sphere_panels():
                 assert abs(gg - gw) <= 1e-6 * max(abs(gw), 1e-10 * panel.area)
         else:
             done += 1
+            if done == 40:
+                break
 
 
 # ------------------------------------------------------------ G contraction

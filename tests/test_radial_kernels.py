@@ -19,12 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripanel.errors import DivergentIntegral
-from tripanel.radial_kernels import (
-    RadialKind,
-    definite_radial,
-    radial_integrand,
-    radial_primitive,
-)
+from tripanel.radial_kernels import RadialKind, definite_radial, radial_integrand
 
 ALL_KINDS = list(RadialKind)
 
@@ -42,9 +37,10 @@ def test_r1_closed_form_example():
 
 
 def test_r2_d0_branch_value():
+    # the d = 0 primitive is -(pi/2)/S
     r, c = 1.7, 0.6
-    assert radial_primitive(RadialKind.R2, r, c, 0.0) == pytest.approx(
-        -(math.pi / 2) / math.sqrt(r * r + c * c), abs=1e-15)
+    assert definite_radial(RadialKind.R2, 0.0, r, c, 0.0) == pytest.approx(
+        (math.pi / 2) * (1.0 / c - 1.0 / math.sqrt(r * r + c * c)), abs=1e-15)
 
 
 def test_zero_length_interval():
@@ -54,11 +50,10 @@ def test_zero_length_interval():
 
 def test_r5_continuous_at_foot():
     c, d = 0.8, 0.6
-    lim = radial_primitive(RadialKind.R5, d, c, d)
-    near = radial_primitive(RadialKind.R5, d * (1 + 1e-13), c, d)
-    assert near == pytest.approx(lim, rel=1e-10)
     # definite integral from exactly d is the difference of primitives
     v = definite_radial(RadialKind.R5, d, 2.0, c, d)
+    near = definite_radial(RadialKind.R5, d * (1 + 1e-13), 2.0, c, d)
+    assert near == pytest.approx(v, rel=1e-10)
     assert v == pytest.approx(quad_reference(RadialKind.R5, d, 2.0, c, d), rel=1e-9)
 
 
@@ -89,8 +84,7 @@ def test_antiderivative_property(kind):
         d = rng.uniform(0.0, 3.0)
         c = rng.uniform(0.1, 10.0)
         r = d + 0.1 + rng.uniform(0.0, 10.0)
-        fd = (radial_primitive(kind, r + h, c, d)
-              - radial_primitive(kind, r - h, c, d)) / (2 * h)
+        fd = definite_radial(kind, r - h, r + h, c, d) / (2 * h)
         ref = float(radial_integrand(kind, r, c, d))
         # the difference quotient's noise floor: the primitive's internal
         # terms grow like c^2 while their difference can be tiny near r = d
@@ -112,26 +106,24 @@ def test_c_sign_symmetry(kind):
 def test_divergent_cases():
     for kind in (RadialKind.R1, RadialKind.R2, RadialKind.R3):
         with pytest.raises(DivergentIntegral):
-            radial_primitive(kind, 0.0, 0.0, 0.0)
-        with pytest.raises(DivergentIntegral):
             definite_radial(kind, 0.0, 1.0, 0.0, 0.0)
         # r so small that S = sqrt(r^2 + c^2) underflows to 0 is r = 0
         with pytest.raises(DivergentIntegral):
             definite_radial(kind, 1e-170, 1.0, 0.0, 0.0)
     # with c > 0 everything is finite at r = 0
     for kind in ALL_KINDS:
-        assert math.isfinite(radial_primitive(kind, 0.0, 0.5, 0.0))
+        assert math.isfinite(definite_radial(kind, 0.0, 1.0, 0.5, 0.0))
     # J kinds and R4/R5/R6 are finite even at c = 0, r = 0
     for kind in (RadialKind.R4, RadialKind.R5, RadialKind.R6cubic,
                  RadialKind.J1, RadialKind.J2, RadialKind.J3):
-        assert math.isfinite(radial_primitive(kind, 0.0, 0.0, 0.0))
+        assert math.isfinite(definite_radial(kind, 0.0, 1.0, 0.0, 0.0))
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        radial_primitive(RadialKind.R1, 0.5, 1.0, 0.8)  # r < d
+        definite_radial(RadialKind.R1, 0.5, 1.0, 1.0, 0.8)  # r < d
     with pytest.raises(ValueError):
-        radial_primitive(RadialKind.R1, -1.0, 1.0, 0.0)
+        definite_radial(RadialKind.R1, -1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         definite_radial(RadialKind.R1, 2.0, 1.0, 1.0, 0.0)
 
@@ -299,9 +291,8 @@ def test_c_much_greater_than_r_to_1e13_of_integral(kind):
 def test_primitives_return_python_floats(kind):
     for args in ((1.3, 0.7, 0.4), (np.float64(1.3), np.float64(-0.7), np.float64(0.4)),
                  (1.3, 0.0, 0.0), (0.4, 0.7, 0.4), (2, 1, 0)):
-        assert type(radial_primitive(kind, *args)) is float
-        assert type(radial_primitive(kind.value, *args)) is float
         assert type(definite_radial(kind, args[0], 2.0 * args[0], *args[1:])) is float
+        assert type(definite_radial(kind.value, args[0], 2 * args[0], *args[1:])) is float
     assert type(radial_integrand(kind, 1.3, 0.7, 0.4)) is float
 
 
