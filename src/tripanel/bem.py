@@ -152,11 +152,13 @@ def _as_mesh_list(meshes):
 
 
 class _Assembly:
-    """Concatenated node/panel tables shared by the operators."""
+    """Concatenated node/panel tables shared by the operators, and the one
+    rule for the node normals and forms (per-mesh lists, or None)."""
 
-    def __init__(self, meshes, normals=None):
+    def __init__(self, meshes, normals=None, forms=None, probes=None):
         self.meshes = _as_mesh_list(meshes)
-        self._given_normals = normals
+        self._given_normals, self._given_forms, self.probes = (
+            got or [None] * len(self.meshes) for got in (normals, forms, probes))
         offs, nodes, tris = [], [], []
         at = 0
         for mesh in self.meshes:
@@ -186,35 +188,48 @@ class _Assembly:
     @cached_property
     def normals(self):
         """Node normals: the caller's, else the mesh's stored ones, else
-        the angle-weighted estimate.  Only the K operators read them."""
-        given = self._given_normals or [None] * len(self.meshes)
+        the probe's unit gradient, else the angle-weighted estimate.  Only
+        the K operators read them."""
         out = []
-        for mesh, got in zip(self.meshes, given):
+        for mesh, got, probe in zip(self.meshes, self._given_normals,
+                                    self.probes):
             if got is None:
                 got = mesh.node_normals
+            if got is None and probe is not None:
+                got = _probe_normals(probe, mesh.nodes)
             out.append(estimate_normals(mesh) if got is None
                        else np.asarray(got, dtype=float))
-        return np.concatenate(out)
+        normals = np.concatenate(out)
+        if np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() > 1e-12:
+            raise MeshError("node normals must be unit vectors")
+        return normals
+
+    @cached_property
+    def forms(self):
+        """Second fundamental forms at the nodes, matrices (N, 2, 2) and
+        tangent bases (N, 2, 3): the caller's, else the probe's at the
+        node normals, else the per-node fit at them."""
+        picked = []
+        for mesh, got, probe, nrm in zip(
+                self.meshes, self._given_forms, self.probes,
+                np.split(self.normals, self.offsets[1:])):
+            if got is None:
+                got = (estimate_fundamental_forms(mesh, nrm) if probe is None
+                       else probe_forms(probe, mesh.nodes, nrm))
+            picked += got
+        kmat = np.array([[f.k11, f.k12, f.k12, f.k22] for f in picked])
+        basis = np.array([f.basis for f in picked], dtype=float)
+        return kmat.reshape(-1, 2, 2), basis.reshape(-1, 2, 3)
 
     def mesh_of_node(self, i):
         """Index of the mesh holding node(s) i."""
         return np.searchsorted(self.offsets, i, side="right") - 1
 
 
-def _node_forms(forms, asm, rows):
-    """Second fundamental forms at the nodes `rows`: matrices (R, 2, 2)
-    and tangent bases (R, 2, 3)."""
-    nodes, back = np.unique(rows, return_inverse=True)
-    meshes = asm.mesh_of_node(nodes)
-    if forms is None or any(forms[m] is None for m in set(meshes.tolist())):
-        raise DivergentIntegral(
-            "missing curvature data: this strategy needs per-node "
-            "fundamental forms (or a surface probe)")
-    picked = [forms[m][i] for m, i in
-              zip(meshes, nodes - np.asarray(asm.offsets)[meshes])]
-    kmat = np.array([[f.k11, f.k12, f.k12, f.k22] for f in picked])
-    basis = np.array([f.basis for f in picked], dtype=float)
-    return kmat.reshape(-1, 2, 2)[back], basis.reshape(-1, 2, 3)[back]
+def _probe_normals(probe, points):
+    """Unit gradients of a level-set probe at points (N, 3)."""
+    grad = np.array([probe.gradient(x) for x in points])
+    return grad / np.linalg.norm(grad, axis=1, keepdims=True)
 
 
 def _patch_projection(x, normal, kmat, basis, centroid):
@@ -279,7 +294,7 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
         yield start, stop, vals, at
 
 
-def _strategy_values(strategy, asm, densities, forms, probes):
+def _strategy_values(strategy, asm, densities):
     """int K(x_i, y) h(y) dS by `strategy` over every incident pair, node
     inc_node[m] and panel inc_panel[m], and each density h: an array
     (pairs, densities).
@@ -298,19 +313,17 @@ def _strategy_values(strategy, asm, densities, forms, probes):
     x = asm.nodes[rows]
     n = asm.normals[rows]
     if strategy is SingularStrategy.QSA:
-        kmat, basis = _node_forms(forms, asm, rows)
-        unit = n / np.linalg.norm(n, axis=1, keepdims=True)
-        return qsa_vertex_rows(asm.verts[panels], asm.inc_slot, x, unit,
-                               kmat, basis, densities)
+        kmat, basis = asm.forms
+        return qsa_vertex_rows(asm.verts[panels], asm.inc_slot, x, n,
+                               kmat[rows], basis[rows], densities)
     y = asm.centroids[panels]
     if strategy is SingularStrategy.CentroidStar:
         meshes = asm.mesh_of_node(rows)
-        probed = np.array([probes is not None and probes[m] is not None
-                           for m in range(len(asm.meshes))])[meshes]
+        probed = np.array([p is not None for p in asm.probes])[meshes]
         for m in np.flatnonzero(probed):
-            y[m], _ = foot_point(probes[meshes[m]], y[m])
+            y[m], _ = foot_point(asm.probes[meshes[m]], y[m])
         if not probed.all():
-            kmat, basis = _node_forms(forms, asm, rows[~probed])
+            kmat, basis = (f[rows[~probed]] for f in asm.forms)
             y[~probed] = _patch_projection(x[~probed], n[~probed], kmat,
                                            basis, y[~probed])
     k = kernel_k(x, n, y) * asm.areas[panels] / len(densities)
@@ -330,14 +343,16 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
     meshes: one SurfaceMesh or a list; the first is the outer boundary
     (jump -1/2, Neumann data `neumann_bc`), later ones are enclosed
     insulating interfaces (+1/2 jump, zero flux).  forms/normals/probes
-    are per-mesh lists; normals default to the mesh's stored node
-    normals, else the angle-weighted estimate.  Incident panels route
-    through `strategy`; a node on any other panel raises MeshError.
+    are per-mesh lists: normals default to the mesh's stored ones, else
+    the probe's unit gradient, else the angle-weighted estimate, and must
+    be unit vectors (else MeshError); forms to the probe's at those
+    normals, else the per-node fit.  Incident panels route through
+    `strategy`; a node on any other panel raises MeshError.
     """
-    asm = _Assembly(meshes, normals)
+    asm = _Assembly(meshes, normals, forms, probes)
     for mesh in asm.meshes:
         require_closed_outward(mesh)
-    singular = _strategy_values(strategy, asm, _HATS, forms, probes)
+    singular = _strategy_values(strategy, asm, _HATS)
     n_nodes = len(asm.nodes)
     matrix = np.zeros((n_nodes, n_nodes))
     for start, stop, vals, at in _pair_blocks(
@@ -397,15 +412,14 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
     The exact value for a target on a closed surface with outward normal
     is +1/2 (half the solid angle seen from the surface).  Returns
     (max_error, per_node_errors).  `parts` accepts the output of
-    identity_row_parts to share the strategy-independent work.
+    identity_row_parts to share the strategy-independent work.  The forms
+    default to the per-node fit at the normals, as `assemble`'s do.
     """
     if parts is None:
         parts = identity_row_parts(mesh, normals)
     base, _, nrm = parts
-    if forms is None:
-        forms = sphere_forms(mesh)
-    asm = _Assembly(mesh, [nrm])
-    vals = _strategy_values(strategy, asm, _UNIT, [forms], None)
+    asm = _Assembly(mesh, [nrm], None if forms is None else [forms])
+    vals = _strategy_values(strategy, asm, _UNIT)
     totals = base + np.bincount(asm.inc_node, vals[:, 0], minlength=len(base))
     errors = np.abs(totals - 0.5) / 0.5
     return float(errors.max()), errors
@@ -518,8 +532,7 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     sel = (np.arange(count) * surf.n_triangles) // count
     cents = surf.nodes[surf.triangles[sel]].mean(axis=1)
     stars = np.array([foot_point(probe, c)[0] for c in cents])
-    nstar = np.array([probe.gradient(x) for x in stars])
-    nstar /= np.linalg.norm(nstar, axis=1, keepdims=True)
+    nstar = _probe_normals(probe, stars)
     grad = potential_gradient(meshes, gamma, stars)
     normal_flux = np.abs((grad * nstar).sum(1))
     mag = np.linalg.norm(grad, axis=1)
@@ -550,28 +563,14 @@ def neumann_problem(outer, bc, *, probe=None, torus=None,
     (major, minor, n_u, n_v) with its exact probe.  Returns (meshes,
     system, probes).
 
-    One rule for every surface: node normals are the mesh's stored ones,
-    else the normalized probe gradient, else estimated; the forms are the
-    probe's at those normals, else the per-node fit.
+    The node normals and forms follow `assemble`'s rule.
     """
     meshes, probes = [outer], [probe]
     if torus is not None:
         major, minor, n_u, n_v = torus
         meshes.append(generate_torus_mesh(major, minor, int(n_u), int(n_v)))
         probes.append(torus_probe(major, minor))
-    normals, forms = [], []
-    for mesh, surf in zip(meshes, probes):
-        nrm = mesh.node_normals
-        if nrm is None and surf is not None:
-            nrm = np.array([surf.gradient(x) for x in mesh.nodes])
-            nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        elif nrm is None:
-            nrm = estimate_normals(mesh)
-        normals.append(nrm)
-        forms.append(estimate_fundamental_forms(mesh, nrm) if surf is None
-                     else probe_forms(surf, mesh.nodes, nrm))
-    system = assemble(meshes, strategy, forms, normals=normals, probes=probes,
-                      neumann_bc=bc)
+    system = assemble(meshes, strategy, probes=probes, neumann_bc=bc)
     return meshes, system, probes
 
 

@@ -119,7 +119,7 @@ def cmd_tri_integrate(args) -> int:
     panel = Panel(*verts)
     x = np.array(args.target, dtype=float)
     n = np.array(args.normal, dtype=float) if args.normal else None
-    if args.kernel == "K" and n is None:
+    if args.kernel == "K" and args.method != "qsa" and n is None:
         raise ValueError("--kernel K needs --normal for the target")
     p = _poly_for(args.poly, verts)
     target = Target(x, n)
@@ -128,8 +128,15 @@ def cmd_tri_integrate(args) -> int:
         if args.kernel != "K":
             raise ValueError("--method qsa applies to the K kernel only")
         probe = _named_probe(args.sdf)
+        offset = float(probe.value(x))
+        if abs(offset) > 1e-8 * panel.diameter:
+            raise ValueError(f"--target is {offset:.3e} off the {args.sdf} "
+                             f"surface; --method qsa needs a target on it")
         grad = probe.gradient(x)
         n_surf = grad / np.linalg.norm(grad)
+        if n is not None and np.linalg.norm(target.n - n_surf) > 1e-8:
+            raise ValueError(f"--normal is not the {args.sdf} surface's unit "
+                             f"normal at the target, {n_surf.tolist()}")
         form = probe_forms(probe, x[None], n_surf[None])[0]
         value = qsa_on_boundary(panel, Target(x, n_surf), form, p)
     elif args.kernel == "K":
@@ -345,7 +352,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--verts", type=float, nargs=9, required=True,
                    metavar="F", help="three vertices, xyz each")
     p.add_argument("--target", type=float, nargs=3, required=True, metavar="F")
-    p.add_argument("--normal", type=float, nargs=3, metavar="F")
+    p.add_argument("--normal", type=float, nargs=3, metavar="F",
+                   help="target normal for K; qsa takes the probe's and "
+                        "checks one given against it")
     p.add_argument("--poly", choices=["1", "yx", "yy"], default="1")
     p.add_argument("--sdf", default="sphere",
                    help="surface probe for qsa: sphere, plane, torus:R:r")

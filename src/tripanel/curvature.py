@@ -172,6 +172,8 @@ def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:
 
 def torus_probe(major: float, minor: float) -> SdfProbe:
     """Signed-distance probe of a z-axis torus: F = |(rho - R, z)| - r."""
+    if not 0.0 < minor < major:
+        raise ValueError("need 0 < minor < major")
 
     def parts(x):
         rho = math.hypot(x[0], x[1])

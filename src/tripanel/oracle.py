@@ -322,7 +322,14 @@ def smallest_angle_deg(verts) -> float:
 def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
     """Random panels on the unit sphere with vertex 1 at a random point x,
     diameter scale log-uniform in diam_range and no angle below min_angle
-    degrees; yields (panel, x, smallest angle) without end."""
+    degrees; yields (panel, x, smallest angle) without end.  Ranges no
+    panel can meet raise ValueError before the first draw."""
+    if not 0.0 <= min_angle < 60.0:
+        raise ValueError(f"min_angle must be in [0, 60) degrees, got "
+                         f"{min_angle}: no triangle's smallest angle exceeds 60")
+    if not 0.0 < diam_range[0] <= diam_range[1]:
+        raise ValueError(f"diameter range must have 0 < lo <= hi, got "
+                         f"{tuple(diam_range)}")
     lo, hi = (math.log10(d) for d in diam_range)
     while True:
         diam = 10.0 ** rng.uniform(lo, hi)
@@ -348,7 +355,13 @@ def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
 def north_pole_panels(rng, coord_range=(-0.01, 0.01), c_range=(-0.01, 0.01)):
     """Random panels on the unit sphere shifted so its north pole is the
     origin, vertex x and y uniform in coord_range (degenerate ones redrawn),
-    and the target (0, 0, c), c uniform in c_range; yields (panel, x)."""
+    and the target (0, 0, c), c uniform in c_range; yields (panel, x).
+    Ranges no panel can meet raise ValueError before the first draw."""
+    if not coord_range[0] < coord_range[1]:
+        raise ValueError(f"coordinate range must have lo < hi, got "
+                         f"{tuple(coord_range)} (every panel would be degenerate)")
+    if not c_range[0] <= c_range[1]:
+        raise ValueError(f"c range must have lo <= hi, got {tuple(c_range)}")
     while True:
         xy = rng.uniform(*coord_range, size=(3, 2))
         z = np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0

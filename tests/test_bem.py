@@ -104,12 +104,42 @@ def test_strategy_swap_changes_only_incident_columns():
         assert np.abs(diff[i, list(incident[i])]).max() > 0.0
 
 
-def test_missing_curvature_data_raises():
-    mesh = generate_sphere_mesh(0)
-    with pytest.raises(DivergentIntegral, match="curvature"):
-        assemble([mesh], SingularStrategy.QSA)
-    with pytest.raises(DivergentIntegral):
-        assemble([mesh], SingularStrategy.CentroidStar)
+@pytest.mark.parametrize("strategy", [SingularStrategy.QSA,
+                                      SingularStrategy.CentroidStar],
+                         ids=["qsa", "centroid_star"])
+def test_bare_mesh_takes_estimated_normals_and_fitted_forms(strategy):
+    mesh = generate_sphere_mesh(1)
+    normals = estimate_normals(mesh)
+    want = assemble([mesh], strategy, [estimate_fundamental_forms(mesh, normals)],
+                    normals=[normals]).matrix
+    assert np.array_equal(assemble([mesh], strategy).matrix, want)
+
+
+@pytest.mark.parametrize("strategy", [SingularStrategy.QSA,
+                                      SingularStrategy.CentroidStar],
+                         ids=["qsa", "centroid_star"])
+def test_probe_gives_its_normals_and_forms(strategy):
+    mesh = generate_sphere_mesh(1)
+    probe = sphere_probe(1.0)
+    normals = np.array([probe.gradient(x) for x in mesh.nodes])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    want = assemble([mesh], strategy, [probe_forms(probe, mesh.nodes, normals)],
+                    normals=[normals], probes=[probe]).matrix
+    got = assemble([mesh], strategy, probes=[probe]).matrix
+    assert np.array_equal(got, want)
+
+
+def test_non_unit_normals_raise():
+    # every route reads the normal as given, so a scaled one would scale
+    # the batch and centroid entries; it fails before any pair is formed
+    mesh = generate_sphere_mesh(1)
+    scaled = 1.3 * unit_normals(mesh)
+    forms = sphere_forms(mesh)
+    for strategy in (SingularStrategy.QSA, SingularStrategy.Centroid):
+        with pytest.raises(MeshError, match="unit"):
+            assemble([mesh], strategy, [forms], normals=[scaled])
+    with pytest.raises(MeshError, match="unit"):
+        identity_row_parts(mesh, scaled)
 
 
 def test_solve_residual_and_gauge_agreement():

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from tripanel.cli import main
+from tripanel.curvature import FundamentalForm
+from tripanel.geometry import Panel, Target, rotation_to_z
 from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, load_mesh, save_mesh
+from tripanel.qsa import qsa_on_boundary
 
 TRI = ["--verts", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
 
@@ -60,6 +63,50 @@ def test_unknown_probe_exits_1(capsys):
                         "--normal", "0", "0", "1"], capsys)
     assert code == 1
     assert "bogus" in err
+
+
+# a unit-sphere panel with its first vertex at the north pole
+SPHERE_TRI = ["--verts", "0", "0", "1",
+              *map(str, np.array([0.1, 0.0, 1.0]) / math.hypot(0.1, 1.0)),
+              *map(str, np.array([0.0, 0.1, 1.0]) / math.hypot(0.1, 1.0))]
+
+
+def test_tri_integrate_qsa_at_a_sphere_vertex(capsys):
+    # the target's normal comes from the probe, so --normal is optional;
+    # one that is given must be that normal
+    verts = np.array(SPHERE_TRI[1:], dtype=float).reshape(3, 3)
+    x = verts[0]
+    form = FundamentalForm(-1.0, 0.0, -1.0, rotation_to_z(x)[:2])
+    want = qsa_on_boundary(Panel(*verts), Target(x, x), form)
+    values = []
+    for normal in ([], ["--normal", "0", "0", "1"]):
+        code, out, _ = run(["tri-integrate", "--method", "qsa", *SPHERE_TRI,
+                            "--target", "0", "0", "1", *normal], capsys)
+        assert code == 0
+        values.append(float(out.split("value=")[1].split()[0]))
+    assert values[0] == values[1]
+    assert abs(values[0] - want) <= 1e-12 * abs(want)
+    code, _, err = run(["tri-integrate", "--method", "qsa", *SPHERE_TRI,
+                        "--target", "0", "0", "1", "--normal", "1", "0", "0"],
+                       capsys)
+    assert code == 1
+    assert "--normal is not the sphere surface's unit normal" in err
+
+
+def test_tri_integrate_qsa_off_the_surface_exits_1(capsys):
+    code, out, err = run(["tri-integrate", "--method", "qsa", *TRI,
+                          "--target", "0", "0", "0.5"], capsys)
+    assert code == 1
+    assert "value=" not in out
+    assert "--target is -5.000e-01 off the sphere surface" in err
+
+
+def test_torus_probe_with_minor_above_major_exits_1(capsys):
+    code, _, err = run(["tri-integrate", "--method", "qsa",
+                        "--sdf", "torus:0.2:0.4", *TRI,
+                        "--target", "0.6", "0", "0"], capsys)
+    assert code == 1
+    assert "need 0 < minor < major" in err
 
 
 def test_missing_mesh_file_exits_1(capsys, tmp_path):
@@ -118,6 +165,26 @@ def test_sweep_without_trials_exits_1(capsys, tmp_path, sub):
     assert exc.value.code == 1
     assert "--trials: must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("sub, option, cause", [
+    ("sweep-singular", ["--min-angle", "61"], "min_angle must be in [0, 60)"),
+    ("sweep-singular", ["--diam-range", "0", "0.1"],
+     "diameter range must have 0 < lo <= hi"),
+    ("sweep-near-singular", ["--coord-range", "0", "0"],
+     "coordinate range must have lo < hi"),
+    ("sweep-near-singular", ["--c-range", "0.01", "-0.01"],
+     "c range must have lo <= hi"),
+], ids=["min-angle", "diam-range", "coord-range", "c-range"])
+def test_sweep_range_no_panel_meets_exits_1(capsys, tmp_path, sub, option, cause):
+    # these ranges used to redraw forever or fail deep in the math; the
+    # panel generator now rejects them before its first draw
+    out = tmp_path / "s.csv"
+    code, _, err = run([sub, "--trials", "3", *option, "--out", str(out)],
+                       capsys)
+    assert code == 1
+    assert cause in err
+    assert not out.exists()
 
 
 def test_singular_sweep_too_small_for_a_slope_exits_1(capsys, tmp_path):

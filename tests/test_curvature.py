@@ -60,6 +60,13 @@ def test_probe_derivatives_match_finite_differences():
             assert np.allclose(h, fd_jacobian(probe.gradient, x), atol=1e-5)
 
 
+@pytest.mark.parametrize("major, minor", [(0.2, 0.4), (0.4, 0.4), (0.4, 0.0)])
+def test_torus_probe_needs_minor_below_major(major, minor):
+    # the generator's condition: otherwise the tube crosses the axis
+    with pytest.raises(ValueError, match="need 0 < minor < major"):
+        torus_probe(major, minor)
+
+
 def test_shape_operator_plane_is_zero():
     n = np.array([1.0, 2.0, -0.5])
     probe = SdfProbe(lambda x: n @ x + 0.3,
