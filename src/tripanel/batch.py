@@ -3,43 +3,48 @@
 The scalar closed forms in panel_integrals are exact but Python-loop
 bound: a dense collocation matrix touches rows x panels pairs, far too
 many to run one polar decomposition at a time.  This module evaluates
-the same integrals with numpy over blocks of (target, panel) pairs via
-a fan decomposition: with the target's in-plane projection as origin
-and height |c| > 0, every triangle moment is the signed sum over the
-three directed edges of wedge integrals (origin, edge start, edge end),
-each with a closed-form antiderivative.
+the same integrals with numpy over blocks of (target, panel) pairs in
+vertex form.  With the target's in-plane projection as origin, p_k the
+planar vertex k, c the height and R_k = sqrt(|p_k|^2 + c^2):
 
-For an edge line at distance d > 0 from the origin, foot angle phi, and
-signed abscissa t along the line (r = sqrt(t^2 + d^2)), the moment
+    Omega = 2 atan2(c det, R_0 R_1 R_2 + sum (p_i.p_j + c^2) R_k)
 
-    I_ab = int_T s1^a s2^b rho(|s|) dS,  rho = (r^2+c^2)^(-3/2) or ^(-1/2)
+is the signed solid angle (Van Oosterom & Strackee, IEEE TBME 30(2),
+1983), det being twice the panel area.  Edge k runs from vertex k to
+k + 1 with unit direction u_k, outward normal m_k, signed offset
+t_k = p_k.m_k, along-edge ends s- = p_k.u_k, s+ = p_{k+1}.u_k and
+R0^2 = t_k^2 + c^2; its line integral of 1/R is
 
-picks up from each wedge the terms d * sum_k coef_k(d, phi) * [W_{n,k}],
-where n = a + b, coef_k comes from expanding s1^a s2^b on the edge, and
-W_{n,k}(t) antidifferentiates t^k P_n(r) / r^(n+2) with P_n(R) =
-int_0^R u^(n+1) rho(u) du.  Even k continues through the foot as
-sign(t) * w(r) (all those w vanish at r = d); odd k is even in t.  The
-code carries V_{n,k} = d^(n+1-k) [W_{n,k}], whose coefficients are pure
-foot-angle polynomials.  Only total degree <= 2 is provided: that
-covers an affine density times the K numerator; cubic moments (the
-curvature corrections) stay on the scalar path, which also serves the
-pairs flagged here as unsafe for the fan form (height below roundoff of
-the pair scale, degenerate planar triangles).
+    f_k = asinh(s+/R0) - asinh(s-/R0),
+
+each end being sign(s) log((R + |s|)/R0), which never cancels.  The
+divergence theorem in the plane then gives every moment from these
+(Graglia, IEEE TAP 41(10), 1993):
+
+    int 1/R^3 = Omega / c          int s/R^3 = -sum m_k f_k
+    int 1/R   = sum t_k f_k - c Omega
+    int s_i s_j / R^3 = delta_ij int 1/R - sum m_ki (t_k m_kj f_k + u_kj dR_k)
+    int s/R   = sum m_k (s+ R+ - s- R- + R0^2 f_k) / 2
+
+with dR_k = R_{k+1} - R_k.  These cover an affine density times the K
+numerator; cubic moments (the curvature corrections) stay on the scalar
+path, which also serves the pairs flagged here: height below roundoff of
+the pair scale, degenerate planar triangles, and edges that graze the
+projection at roundoff level.  Where R0 = 0 (G on the panel's own edge
+line) t_k f_k and R0^2 f_k take their limit, 0.
 
 `_panel_table`, built once per mesh, holds what depends on the panel
-alone (frame, vertex 0, planar vertices, edge vectors with lengths and
-directions u, hat gradients).  `_pair_geometry` adds what depends on the
-pair: the height c and in-plane offset (three dot products with v0 - x),
-per edge z = p_start x edge and d = |z| / length, and r per vertex.  The
-foot is -(z / length) perp(u), so (cos phi, sin phi) = sign(z) (u2, -u1)
-and sign(z) orients the sweep.  `_wedge_terms` evaluates the pieces K
-and G share, the wedge angle arctan2(|t|, d) among them.  The K moments
-do not depend on the kernel direction n, so a target may carry several
-directions (the three axes of a gradient): the pair's moments are built
-once and contracted with each nu = (n.t1, n.t2, n.n_p).  On every
-unflagged pair of a sphere-plus-torus BEM problem, tests/test_batch.py
-holds all three entries to the scalar path within 1e-11 of the pair's
-largest hat value.
+alone (frame, vertices, planar edges with lengths and directions u, hat
+gradients).  `_pair_geometry` adds what depends on the pair.  The planar
+vertices are rotated from v - x one vertex at a time and c is taken at
+the vertex nearest x, as the scalar path does, so a target close to a
+vertex keeps the roundoff of its own offset rather than the panel's.
+The K moments do not depend on the kernel direction n, so a target may
+carry several directions (the three axes of a gradient): the pair's
+moments are built once and contracted with each nu = (n.t1, n.t2, n.n_p).
+On every unflagged pair of a sphere-plus-torus BEM problem,
+tests/test_batch.py holds all three entries to the scalar path within
+1e-11 of the pair's largest hat value.
 """
 
 from __future__ import annotations
@@ -48,12 +53,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import _dot3
 from .panel_integrals import FOUR_PI
-from .radial_kernels import _atan_ratio
 
 _HEIGHT_TOL = 1e-12   # |c| below this times the pair scale -> caller fallback
 _TINY = 1e-300
+_NEXT = [1, 2, 0]     # the end vertex of each edge
 
 
 def tangent_frames(normals):
@@ -85,12 +89,12 @@ def panel_frames(verts):
 def _panel_table(verts):
     """Per-panel geometry of a (P, 3, 3) vertex array, shared by all targets.
 
-    Component (or vertex, edge, hat) axes come first, so slices are
-    contiguous: the frame n, t1, t2 and vertex v0, each (3, P); in the
-    (t1, t2) frame the vertices loc relative to v0 and the edges edge
-    (edge k from vertex k to k + 1) with their unit directions, each
-    (2, 3, P), and lengths (3, P); hat m's constant gradient (hat_b[m],
-    hat_c[m]); the Jacobian determinant det (P,), 0 if degenerate.
+    Panel axes come last, so slices are contiguous: the frame (t1, t2, n)
+    by vector and component, (3, 3, P); the vertices v by component and
+    vertex, (3, 3, P); in the (t1, t2) frame the unit direction of edge k
+    (from vertex k to k + 1), (2, 3, P), and its length, (3, P); hat m's
+    constant gradient (hat_b[m], hat_c[m]); the Jacobian determinant det
+    (P,), 0 if degenerate.
     """
     v = np.asarray(verts, dtype=float)
     n, t1, t2 = panel_frames(v)
@@ -102,136 +106,79 @@ def _panel_table(verts):
     det = loc[0, 1] * loc[1, 2] - loc[1, 1] * loc[0, 2]
     # grad lam_m = perp(edge opposite vertex m) / det
     opposite = np.roll(edge, -1, axis=1) / np.where(det != 0.0, det, 1.0)
-    n, t1, t2, v0 = (np.ascontiguousarray(a.T) for a in (n, t1, t2, v[:, 0]))
-    return SimpleNamespace(n=n, t1=t1, t2=t2, v0=v0, loc=loc, edge=edge,
-                           length=length, unit=edge / length,
-                           hat_b=-opposite[1], hat_c=opposite[0], det=det)
+    frame = np.ascontiguousarray(np.stack([t1, t2, n]).transpose(0, 2, 1))
+    v, unit, length, hat_b, hat_c = (np.ascontiguousarray(a) for a in (
+        v.transpose(2, 1, 0), edge / length, length, -opposite[1], opposite[0]))
+    return SimpleNamespace(frame=frame, v=v, unit=unit, length=length,
+                           hat_b=hat_b, hat_c=hat_c, det=det)
 
 
 def _pair_geometry(x, verts, table):
-    """Heights, offsets and per-edge wedge geometry of (B, P) pairs; the
-    panel table is `table`, else built from verts, and is kept as `tab`.
+    """Planar vertices, height, fallback flag and vertex-form terms of
+    (B, P) pairs; the panel table is `table`, else built from verts, and
+    is kept as `tab`.
 
-    Per-edge arrays are (3, B, P); per-endpoint ones (2, 3, B, P), the
-    start first.  Each edge is classified three ways.  Evaluate: the
-    closed forms are well conditioned (the edge line is either clearly
-    off the origin, or grazes it with both endpoints clearly away, where
-    the 1/d factors cancel against the leading d exactly).  Zero: the
-    wedge is genuinely degenerate (origin at an endpoint, or a grazing
-    sliver whose foot falls outside the segment) and its true value is
-    negligible.  Flag: the grazing geometry is ambiguous at roundoff
-    level, so the whole pair is reported for the scalar path via the
-    `flag` mask.
+    Per-vertex and per-edge arrays are (3, B, P), per-end ones
+    (2, 3, B, P); `flag` holds the `_grazing` pairs.
     """
     tab = _panel_table(verts) if table is None else table
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = tab.v0[:, None, :] - x.T[:, :, None]        # (3, B, P) v0 - x
-    c = -_dot3(w, tab.n)
-    ox, oy = _dot3(w, tab.t1), _dot3(w, tab.t2)
-    # vertices around the target's projection, and their radii
-    px = tab.loc[0][:, None] + ox
-    py = tab.loc[1][:, None] + oy
-    rv = np.sqrt(px * px + py * py)
-    scale = np.maximum(np.maximum(rv[0], rv[1]), np.maximum(rv[2], _TINY))
-    (ex, ey), (ux, uy) = tab.edge[:, :, None], tab.unit[:, :, None]
-    length = tab.length[:, None]
-    z = px * ey - py * ex
-    d = np.abs(z) / length
-    r = np.stack([rv, rv[[1, 2, 0]]])
-    rmin = np.minimum(r[0], r[1])
-    evaluate = ((d > 1e-13 * scale)
-                | ((d > 1e-35 * scale) & (rmin > 1e-11 * scale)))
-    # signed abscissa, oriented so the sweep angle increases with t
-    orient = np.sign(z)
-    along = px * ux + py * uy
-    t = orient * np.stack([along, along + length])
-    foot_outside = t[0] * t[1] >= -((1e-12 * scale) ** 2)
-    bad = ~evaluate & ~((rmin <= 1e-14 * scale)
-                        | ((d <= 1e-35 * scale) & foot_outside))
+    w = tab.v[:, :, None, :] - x.T[:, None, :, None]   # (3, 3, B, P) v - x
+    px, py, h = np.einsum("cvbp,fcp->fvbp", w, tab.frame)
+    r2 = px * px + py * py
+    near0 = (r2[0] <= r2[1]) & (r2[0] <= r2[2])
+    c = -np.where(near0, h[0], np.where(r2[1] <= r2[2], h[1], h[2]))
+    scale = np.maximum(np.sqrt(np.maximum(np.maximum(r2[0], r2[1]), r2[2])),
+                       _TINY)
+    c2 = c * c
+    big_r = np.sqrt(r2 + c2)
+    pxn, pyn = px[_NEXT], py[_NEXT]
+    ux, uy = tab.unit[:, :, None]
+    ends = np.stack([px * ux + py * uy, pxn * ux + pyn * uy])   # s-, s+
+    # p_k x p_{k+1} keeps the roundoff of the nearer end: exactly 0 when
+    # either end is the projection
+    offset = (px * pyn - py * pxn) / tab.length[:, None]
+    r0sq = offset * offset + c2
+    with np.errstate(all="ignore"):
+        r0 = np.sqrt(r0sq)
+        f = np.arcsinh(ends[1] / r0) - np.arcsinh(ends[0] / r0)
+        dots = px * pxn + py * pyn + c2                   # edge k's ends
+        den = (big_r[0] * big_r[1] * big_r[2]
+               + (dots * big_r[[2, 0, 1]]).sum(axis=0))
+        omega = 2.0 * np.arctan2(c * tab.det, den)
     return SimpleNamespace(
-        tab=tab, c=c, ox=ox, oy=oy, scale=scale, t=t, r=r, valid=evaluate,
-        d_safe=np.where(evaluate, d, 1.0), cphi=orient * uy,
-        sphi=-orient * ux, flag=bad[0] | bad[1] | bad[2])
+        tab=tab, c=c, ox=px[0], oy=py[0], scale=scale, ux=ux, uy=uy,
+        offset=offset, ends=ends, big_r=big_r, r0sq=r0sq, f=f, omega=omega,
+        flag=_grazing(r2, ends, np.abs(offset), scale))
 
 
-def _wedge_terms(cc, g):
-    """Closed-form pieces both kernels' wedges share, at each edge end.
+def _grazing(r2, ends, d, scale):
+    """Pairs with an edge line within 1e-13 of the pair scale `scale` of
+    the projection (distance d) that is ambiguous at roundoff level: an
+    endpoint (squared radii r2) not clearly away, and neither a vertex on
+    the projection nor a foot clearly outside the segment (ends s-, s+)."""
+    i = np.flatnonzero(d <= 1e-13 * scale)          # the few edges to judge
+    bp = scale.size
+    d, s, sm, sp = d.flat[i], scale.flat[i % bp], ends[0].flat[i], ends[1].flat[i]
+    rmin = np.sqrt(np.minimum(r2.flat[i], r2.flat[(i + bp) % (3 * bp)]))
+    bad = (rmin > 1e-14 * s) & np.where(
+        d > 1e-35 * s, rmin <= 1e-11 * s,
+        (d != 0.0) & (sm * sp < -((1e-12 * s) ** 2)))
+    flag = np.zeros(scale.shape, dtype=bool)
+    flag.flat[i[bad] % bp] = True
+    return flag
 
-    cc: |c| per pair, (B, P).  The wedge angle is arctan2(|t|, d), which
-    keeps every digit where an endpoint sits near the foot (r ~ d).
-    """
-    dd, t, r = g.d_safe, g.t, g.r
-    q = np.abs(t)
+
+def _edge_limit(g, v):
+    """v * f_k per edge, with the limit 0 where R0 = 0."""
     with np.errstate(all="ignore"):
-        s = np.sqrt(r * r + cc * cc)
-        a = np.arctan2(q, dd)
-        ar = _atan_ratio(cc, q / (dd * np.maximum(s, _TINY)))
-        h = np.sqrt(cc * cc + dd * dd)
-        return SimpleNamespace(
-            cc=cc, dd=dd, q=q, sgn=np.sign(t), r=r, rs=np.maximum(r, _TINY),
-            s=s, a=a, ar=ar, bb=cc * cc * ar - cc * a, h=h,
-            tt=np.log1p((q * q / (s + h) + q) / h),
-            lt=np.log(r + s) - np.log(np.maximum(cc, _TINY)))
+        return np.where(g.r0sq > 0.0, v * g.f, 0.0)
 
 
-def _across(w):
-    """W(t_end) - W(t_start) of each edge (callers silence fp warnings)."""
-    return {k: v[1] - v[0] for k, v in w.items()}
-
-
-def _k_wedge_v(e, degree):
-    """K-kernel V_{n,k} = d^(n+1-k) [W_{n,k}] of each edge, n <= degree."""
-    cc, dd, q, sgn, rs, s = e.cc, e.dd, e.q, e.sgn, e.rs, e.s
-    with np.errstate(all="ignore"):
-        w = {(0, 0): sgn * (e.a / cc - e.ar)}
-        if degree >= 1:
-            w[(1, 0)] = sgn * (e.lt * q / rs - e.tt)
-            w[(1, 1)] = e.lt / rs
-        if degree >= 2:
-            sp = s + cc
-            w[(2, 0)] = sgn * (e.bb + dd * q / sp)
-            w[(2, 1)] = 1.0 / sp
-            w[(2, 2)] = sgn * (e.bb + dd * (e.tt - q * e.r * e.r / (2.0 * s * sp * sp)
-                                            - q / (2.0 * s)))
-        v = _across(w)
-        if degree >= 1:
-            v[(1, 1)] *= -dd
-        if degree >= 2:
-            v[(2, 1)] *= -dd * dd
-    return v
-
-
-def _g_wedge_v(e):
-    """G-kernel V_{n,k} = d^(n+1-k) [W_{n,k}] of each edge (n <= 1); c = 0
-    is allowed."""
-    with np.errstate(all="ignore"):
-        # c^2 log(1/c) -> 0: the graph-height terms drop at c = 0
-        c2lt = np.where(e.cc > 0.0, e.cc * e.cc * e.lt, 0.0)
-        v = _across({(0, 0): e.sgn * (e.dd * e.tt + e.bb),
-                     (1, 0): e.sgn * (0.5 * e.h * e.h * e.tt - 0.5 * c2lt * e.q / e.rs),
-                     (1, 1): 0.5 * e.s + 0.5 * c2lt / e.rs})
-        v[(1, 1)] *= e.dd
-    return v
-
-
-def _moments(g, v, degree):
-    """Triangle moments I_ab: the valid edges' V_{n,k} weighted by the
-    foot-angle coefficients of s1^a s2^b."""
-    v = {k: np.where(g.valid, x, 0.0) for k, x in v.items()}
-    c, s = g.cphi, g.sphi
-    with np.errstate(all="ignore"):
-        m = {(0, 0): v[(0, 0)].sum(axis=0)}
-        if degree >= 1:
-            v10, v11 = v[(1, 0)], v[(1, 1)]
-            m[(1, 0)] = (c * v10 - s * v11).sum(axis=0)
-            m[(0, 1)] = (s * v10 + c * v11).sum(axis=0)
-        if degree >= 2:
-            v20, v21, v22 = v[(2, 0)], v[(2, 1)], v[(2, 2)]
-            cc, cs, ss = c * c, c * s, s * s
-            m[(2, 0)] = (cc * v20 - 2.0 * cs * v21 + ss * v22).sum(axis=0)
-            m[(1, 1)] = (cs * v20 + (cc - ss) * v21 - cs * v22).sum(axis=0)
-            m[(0, 2)] = (ss * v20 + 2.0 * cs * v21 + cc * v22).sum(axis=0)
-    return m
+def _single_layer(g):
+    """int 1/R dS per pair, from the edge terms t_k f_k (returned too)."""
+    tf = _edge_limit(g, g.offset)
+    return tf.sum(axis=0) - g.c * g.omega, tf
 
 
 def _hat_values(g, k0, k1, k2):
@@ -247,17 +194,17 @@ def _hat_values(g, k0, k1, k2):
     return vals
 
 
-def _k_pairs(x, n_x, verts, table, degree):
-    """Pair geometry, K moments and the K fallback of (B, P) pairs, plus
-    each kernel direction in each panel frame: nu1, nu2, nu3 of shape
-    (D, B, P) for n_x of shape (B, D, 3), D = 1 for (B, 3)."""
+def _k_pairs(x, n_x, verts, table):
+    """Pair geometry, the K fallback and sum m_k f_k of (B, P) pairs,
+    plus each kernel direction in each panel frame: nu1, nu2, nu3 of
+    shape (D, B, P) for n_x of shape (B, D, 3), D = 1 for (B, 3)."""
     g = _pair_geometry(x, verts, table)
-    c_abs = np.abs(g.c)
-    fallback = (c_abs <= _HEIGHT_TOL * g.scale) | g.flag
-    e = _wedge_terms(np.maximum(c_abs, _TINY), g)
-    n_x = np.asarray(n_x, dtype=float).reshape(len(g.c), -1, 3).T[..., None]
-    nu = (_dot3(n_x, g.tab.t1), _dot3(n_x, g.tab.t2), _dot3(n_x, g.tab.n))
-    return g, _moments(g, _k_wedge_v(e, degree), degree), nu, fallback
+    fallback = (np.abs(g.c) <= _HEIGHT_TOL * g.scale) | g.flag
+    with np.errstate(all="ignore"):
+        mf = ((g.uy * g.f).sum(axis=0), -(g.ux * g.f).sum(axis=0))
+    n_x = np.asarray(n_x, dtype=float).reshape(len(g.c), -1, 3)
+    nu = np.einsum("bdc,fcp->fdbp", n_x, g.tab.frame)
+    return g, mf, nu, fallback
 
 
 def _finish(parts, fallback):
@@ -281,13 +228,20 @@ def k_panel_entries(x, n_x, verts, table=None):
     vals are 0.  The geometry and moments of a pair are computed once;
     only their contraction with nu = (n.t1, n.t2, n.n_p) is per direction.
     """
-    g, m, (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table, 2)
+    g, (f1, f2), (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table)
     fallback |= np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale
+    ux, uy = g.ux, g.uy
     with np.errstate(all="ignore"):
+        g1, tf = _single_layer(g)
+        dr = g.big_r[_NEXT] - g.big_r
+        # int s_i s_j / R^3
+        d11 = g1 - (uy * uy * tf + ux * uy * dr).sum(axis=0)
+        d22 = g1 - (ux * ux * tf - ux * uy * dr).sum(axis=0)
+        d12 = (ux * uy * tf + 0.5 * (ux * ux - uy * uy) * dr).sum(axis=0)
         cn = g.c * nu3
-        k = (cn * m[(0, 0)] - nu1 * m[(1, 0)] - nu2 * m[(0, 1)],
-             cn * m[(1, 0)] - nu1 * m[(2, 0)] - nu2 * m[(1, 1)],
-             cn * m[(0, 1)] - nu1 * m[(1, 1)] - nu2 * m[(0, 2)])
+        k = (nu3 * g.omega + nu1 * f1 + nu2 * f2,
+             -cn * f1 - nu1 * d11 - nu2 * d12,
+             -cn * f2 - nu1 * d12 - nu2 * d22)
         hats = _hat_values(g, *(v / FOUR_PI for v in k))
     vals, fallback = _finish([h[d] for d in range(len(cn)) for h in hats],
                              fallback)
@@ -298,12 +252,12 @@ def k_row_sums(x, n_x, verts, table=None):
     """int K(x_i, y) dS per (target, panel) pair (the unit-density column).
 
     Same contract as k_panel_entries with vals of shape (B, P); this is
-    the fast path for the closed-surface Gauss identity (degree <= 1).
+    the fast path for the closed-surface Gauss identity: the solid angle
+    and the edge integrals alone.
     """
-    g, m, (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table, 1)
+    g, (f1, f2), (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table)
     with np.errstate(all="ignore"):
-        vals = (g.c * nu3 * m[(0, 0)] - nu1 * m[(1, 0)]
-                - nu2 * m[(0, 1)]) / FOUR_PI
+        vals = (nu3 * g.omega + nu1 * f1 + nu2 * f2) / FOUR_PI
     return _finish(list(vals), fallback)
 
 
@@ -315,8 +269,12 @@ def g_panel_entries(x, verts, table=None):
     panels here.
     """
     g = _pair_geometry(x, verts, table)
-    m = _moments(g, _g_wedge_v(_wedge_terms(np.abs(g.c), g)), 1)
     fallback = (np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale) | g.flag
-    vals = _hat_values(g, -m[(0, 0)] / FOUR_PI, -m[(1, 0)] / FOUR_PI,
-                       -m[(0, 1)] / FOUR_PI)
+    with np.errstate(all="ignore"):
+        g1, _ = _single_layer(g)
+        (sm, sp), r = g.ends, g.big_r
+        # int_edge R dl
+        er = 0.5 * (sp * r[_NEXT] - sm * r + _edge_limit(g, g.r0sq))
+        g2 = (g.uy * er).sum(axis=0), -(g.ux * er).sum(axis=0)
+    vals = _hat_values(g, -g1 / FOUR_PI, -g2[0] / FOUR_PI, -g2[1] / FOUR_PI)
     return _finish(vals, fallback)

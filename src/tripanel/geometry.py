@@ -250,8 +250,7 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
 
 
 def _dot3(u, v):
-    """u[0] v[0] + u[1] v[1] + u[2] v[2]: float triples here, stacks of
-    arrays broadcasting elementwise in the batch engine."""
+    """u[0] v[0] + u[1] v[1] + u[2] v[2] of two triples."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 

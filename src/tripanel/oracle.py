@@ -322,7 +322,9 @@ def smallest_angle_deg(verts) -> float:
 def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
     """Random panels on the unit sphere with vertex 1 at a random point x,
     diameter scale log-uniform in diam_range and no angle below min_angle
-    degrees; yields (panel, x, smallest angle) without end.  Ranges no
+    degrees; yields (panel, x, smallest angle) without end.  The diameter
+    is the arc from x to the other vertices, so it is capped at pi: a
+    longer arc passes the antipode and wraps back toward x.  Ranges no
     panel can meet raise ValueError before the first draw."""
     if not 0.0 <= min_angle < 60.0:
         raise ValueError(f"min_angle must be in [0, 60) degrees, got "
@@ -330,6 +332,10 @@ def sphere_vertex_panels(rng, diam_range=(1e-3, 1e-1), min_angle=5.0):
     if not 0.0 < diam_range[0] <= diam_range[1]:
         raise ValueError(f"diameter range must have 0 < lo <= hi, got "
                          f"{tuple(diam_range)}")
+    if diam_range[1] > math.pi:
+        raise ValueError(f"diameter range must have hi <= pi, got "
+                         f"{tuple(diam_range)}: the diameter is an arc on the "
+                         "unit sphere, and a longer one wraps past the antipode")
     lo, hi = (math.log10(d) for d in diam_range)
     while True:
         diam = 10.0 ** rng.uniform(lo, hi)
@@ -356,10 +362,16 @@ def north_pole_panels(rng, coord_range=(-0.01, 0.01), c_range=(-0.01, 0.01)):
     """Random panels on the unit sphere shifted so its north pole is the
     origin, vertex x and y uniform in coord_range (degenerate ones redrawn),
     and the target (0, 0, c), c uniform in c_range; yields (panel, x).
-    Ranges no panel can meet raise ValueError before the first draw."""
+    Both coordinates lie within 1/sqrt(2) of 0, so every vertex is on the
+    sphere.  Ranges no panel can meet raise ValueError before the first
+    draw."""
     if not coord_range[0] < coord_range[1]:
         raise ValueError(f"coordinate range must have lo < hi, got "
                          f"{tuple(coord_range)} (every panel would be degenerate)")
+    if max(abs(coord_range[0]), abs(coord_range[1])) >= math.sqrt(0.5):
+        raise ValueError(f"coordinate range must lie within (-1/sqrt(2), "
+                         f"1/sqrt(2)), got {tuple(coord_range)}: beyond it x^2 + y^2 "
+                         "can exceed 1 and the vertex leaves the unit sphere")
     if not c_range[0] <= c_range[1]:
         raise ValueError(f"c range must have lo <= hi, got {tuple(c_range)}")
     while True:

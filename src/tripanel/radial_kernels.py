@@ -14,19 +14,15 @@ when |c*q| is tiny.  r, c and d are Python floats and every primitive is
 plain `math`.  `definite_radials` checks a boundary (r_lo, r_hi, c, d)
 once and evaluates S, Q, the angle, the log and the arctan term once per
 endpoint for every kind requested; `definite_radial` is its one-kind
-view, so each formula lives in one place (`_primitives`).  The one array
-function is `_atan_ratio`, the batch module's lane of arctan(c*q)/c; it
-shares the series with the float lane.  Domains are validated, and
-DivergentIntegral is raised where the antiderivative is -inf (r=0 with
-c=0 for R1/R2/R3).
+view, so each formula lives in one place (`_primitives`).  Domains are
+validated, and DivergentIntegral is raised where the antiderivative is
+-inf (r=0 with c=0 for R1/R2/R3).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-
-import numpy as np
 
 from .errors import DivergentIntegral
 
@@ -63,7 +59,7 @@ def _acos_dr(q, d):
 
 def _atan_series(q, t):
     """arctan(t)/c for t = c*q below the threshold (error ~t^8/9 < 1e-48
-    relative there); pure arithmetic, so floats and arrays share it."""
+    relative there)."""
     t2 = t * t
     return q * (1.0 - t2 / 3.0 + t2 * t2 / 5.0 - t2 * t2 * t2 / 7.0)
 
@@ -72,19 +68,6 @@ def _atan_ratio_float(c, q):
     """arctan(c*q)/c for floats, continuous in c (limit q at c=0)."""
     t = c * q
     return _atan_series(q, t) if abs(t) < _SERIES_TOL else math.atan(t) / c
-
-
-def _atan_ratio(c, q):
-    """`_atan_ratio_float` elementwise; c may be an array (the batch
-    engine passes one per pair).  The series runs on the small lanes only."""
-    q = np.asarray(q, dtype=float)
-    with np.errstate(all="ignore"):
-        t = np.asarray(c * q)
-        out = np.asarray(np.arctan(t) / c)
-    small = np.abs(t) < _SERIES_TOL
-    if small.any():
-        out[small] = _atan_series(np.broadcast_to(q, t.shape)[small], t[small])
-    return out
 
 
 def _st_log(s, q, c, d):

@@ -1,0 +1,60 @@
+"""The 50-digit solid-angle reference and the near-vertex targets that
+the scalar and batch K tests share."""
+
+import math
+
+import mpmath
+import numpy as np
+
+from tripanel.errors import DegenerateTriangle
+from tripanel.geometry import Panel, rotation_to_z
+
+
+def vos_k_unit_density(verts, x):
+    """K against the unit density with n(x) the panel normal, from the Van
+    Oosterom-Strackee solid angle (IEEE TBME 30(2), 1983) at 50 digits."""
+    with mpmath.workdps(50):
+        rel = [mpmath.matrix([mpmath.mpf(float(v)) - mpmath.mpf(float(w))
+                              for v, w in zip(vert, x)]) for vert in verts]
+        norms = [mpmath.norm(a) for a in rel]
+
+        def dot(a, b):
+            return sum(a[i] * b[i] for i in range(3))
+
+        cross = mpmath.matrix([rel[1][1] * rel[2][2] - rel[1][2] * rel[2][1],
+                               rel[1][2] * rel[2][0] - rel[1][0] * rel[2][2],
+                               rel[1][0] * rel[2][1] - rel[1][1] * rel[2][0]])
+        den = (norms[0] * norms[1] * norms[2] + dot(rel[0], rel[1]) * norms[2]
+               + dot(rel[0], rel[2]) * norms[1] + dot(rel[1], rel[2]) * norms[0])
+        # signed solid angle, the integral of (y - x).n / |y - x|^3; K has x - y
+        omega = 2 * mpmath.atan2(dot(rel[0], cross), den)
+        return float(-omega / (4 * mpmath.pi))
+
+
+def near_vertex_case(rng, k):
+    """A panel of diameter ~1e-2 on the unit sphere near its north pole,
+    shifted so the pole is the origin, and a target whose foot lies
+    1e-12..1e-8 from vertex k, 1e-9..1e-2 above or below the panel."""
+    while True:
+        xy = rng.uniform(-0.01, 0.01, size=(3, 2))
+        verts = np.column_stack([xy, np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0])
+        try:
+            panel = Panel(*verts)
+        except DegenerateTriangle:
+            continue
+        t1, t2 = rotation_to_z(panel.normal)[:2]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        offset = 10.0 ** rng.uniform(-12.0, -8.0) * (math.cos(angle) * t1
+                                                    + math.sin(angle) * t2)
+        height = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -2.0)
+        # the feet whose distance to an edge line through the vertex is
+        # within 2e-14 of zero or of the vertex distance meet the absolute
+        # 1e-14 floors of geometry.roundoff_floor and radial_kernels._CLAMP;
+        # test_k_near_vertex_at_the_absolute_floors holds those
+        gaps = []
+        for j in ((k + 1) % 3, (k + 2) % 3):
+            edge = (verts[j] - verts[k]) / np.linalg.norm(verts[j] - verts[k])
+            d = np.linalg.norm(np.cross(offset, edge))
+            gaps += [d, np.linalg.norm(offset) - d]
+        if min(gaps) > 2e-14:
+            return panel, verts[k] + offset + height * panel.normal

@@ -19,6 +19,8 @@ from tripanel.panel_integrals import (
     integrate_k_panel,
 )
 
+from solid_angle import near_vertex_case, vos_k_unit_density
+
 HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 
 
@@ -114,8 +116,9 @@ def test_g_entries_match_scalar_including_on_plane():
 @pytest.mark.parametrize("placement", ["vertex", "edge_mid", "centroid",
                                        "interior", "edge_line"])
 def test_k_entries_match_scalar_degenerate_projections(placement):
-    # targets whose in-plane projection lands exactly on the wedge
-    # decomposition's special sets
+    # targets whose in-plane projection lands exactly on a vertex, an edge
+    # midpoint, an edge line beyond the panel, the centroid or an interior
+    # point
     rng = np.random.default_rng(hash_seed(placement))
     checked = 0
     for trial in range(120):
@@ -248,15 +251,22 @@ def _worst_against_scalar(x, n_x, verts):
     return worst
 
 
-def test_entries_match_scalar_on_every_bem_pair():
-    # every unflagged node pair of the ico-1 sphere around the 8 x 4 torus,
-    # with the torus's stored normals, and seeded rows of an icosphere
+def sphere_around_torus():
+    """The nodes, unit node normals (the torus's stored ones) and
+    triangles of the ico-1 sphere around the 8 x 4 torus."""
     sphere = generate_sphere_mesh(1)
     torus = generate_torus_mesh(0.4, 0.2, 8, 4)
     x = np.concatenate([sphere.nodes, torus.nodes])
     n_x = np.concatenate([sphere.nodes, torus.node_normals])
     n_x /= np.linalg.norm(n_x, axis=1, keepdims=True)
     tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
+    return x, n_x, tris
+
+
+def test_entries_match_scalar_on_every_bem_pair():
+    # every unflagged node pair of the ico-1 sphere around the 8 x 4 torus,
+    # with the torus's stored normals, and seeded rows of an icosphere
+    x, n_x, tris = sphere_around_torus()
     ico = generate_sphere_mesh(2)
     rows = np.random.default_rng(6).choice(ico.n_nodes, 4, replace=False)
     y = ico.nodes[rows]
@@ -264,6 +274,41 @@ def test_entries_match_scalar_on_every_bem_pair():
                   _worst_against_scalar(y, y / np.linalg.norm(y, axis=1)[:, None],
                                         ico.nodes[ico.triangles])):
         assert max(worst.values()) <= 1e-11, worst
+
+
+def test_routes_on_the_sphere_around_torus_problem():
+    # K flags each of the 432 incident pairs and the 64 node pairs whose
+    # node lies in the plane of a torus panel (the other half of its planar
+    # quad) for the scalar path; G is valid on the panel and flags none
+    x, n_x, tris = sphere_around_torus()
+    verts = x[tris]
+    _, k_flagged = k_panel_entries(x, n_x, verts)
+    incident = np.zeros(k_flagged.shape, dtype=bool)
+    incident[tris, np.arange(len(tris))[:, None]] = True
+    assert incident.sum() == 432 and k_flagged[incident].all()
+    normals, _, _ = panel_frames(verts)
+    heights = np.abs(np.einsum("bpk,pk->bp", x[:, None] - verts[:, 0], normals))
+    in_plane = heights <= 1e-12 * np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+    assert np.array_equal(k_flagged & ~incident, in_plane & ~incident)
+    assert (k_flagged & ~incident).sum() == 64
+    _, g_flagged = g_panel_entries(x, verts)
+    assert not g_flagged.any()
+
+
+def test_k_near_vertex_hat_sums_match_van_oosterom_strackee():
+    # feet 1e-12..1e-8 from a vertex, 1e-9..1e-2 off a 1e-2 panel: the
+    # planar vertices come from v - x one at a time and c from the nearest
+    # vertex, so no offset carries the roundoff of the panel's size
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for case in range(200):
+        panel, x = near_vertex_case(rng, case % 3)
+        vals, flagged = k_panel_entries(x[None], panel.normal[None],
+                                        panel.verts[None])
+        assert not flagged[0, 0]
+        ref = vos_k_unit_density(panel.verts, x)
+        worst = max(worst, abs(vals[0, 0].sum() - ref) / np.abs(vals[0, 0]).max())
+    assert worst <= 1e-10
 
 
 def test_prebuilt_table_changes_nothing():

@@ -175,7 +175,12 @@ def test_sweep_without_trials_exits_1(capsys, tmp_path, sub):
      "coordinate range must have lo < hi"),
     ("sweep-near-singular", ["--c-range", "0.01", "-0.01"],
      "c range must have lo <= hi"),
-], ids=["min-angle", "diam-range", "coord-range", "c-range"])
+    ("sweep-near-singular", ["--coord-range", "0.9", "1.0"],
+     "coordinate range must lie within (-1/sqrt(2), 1/sqrt(2))"),
+    ("sweep-singular", ["--diam-range", "4", "5"],
+     "diameter range must have hi <= pi"),
+], ids=["min-angle", "diam-range", "coord-range", "c-range",
+        "coord-range-off-sphere", "diam-range-wraps"])
 def test_sweep_range_no_panel_meets_exits_1(capsys, tmp_path, sub, option, cause):
     # these ranges used to redraw forever or fail deep in the math; the
     # panel generator now rejects them before its first draw

@@ -129,32 +129,22 @@ def test_domain_errors():
 
 
 def test_series_consistency_at_threshold():
-    from tripanel.radial_kernels import _atan_ratio, _atan_ratio_float
+    from tripanel.radial_kernels import _atan_ratio_float
 
     # straddle the switch point |c*q| = 1e-6: series and arctan agree to 1e-9
     for t in (0.2e-6, 0.5e-6, 0.999e-6, 1.001e-6, 2e-6, 1e-5):
         for c in (1e-3, 1e-6, 0.5):
             q = t / c
             series = q * (1 - t**2 / 3 + t**4 / 5 - t**6 / 7)
-            assert float(_atan_ratio(c, q)) == pytest.approx(series, rel=1e-9)
-            assert float(_atan_ratio(c, q)) == pytest.approx(math.atan(t) / c, rel=1e-9)
-    # an array of c (one per pair, as the batch engine passes) is taken
-    # elementwise, with the limit q at c = 0
-    cs = np.array([0.0, 1e-3, 1e-6, 0.5, 2.0])
-    qs = np.array([0.7, 2e-4, 0.999, 3.0, 1e300])
-    got = _atan_ratio(cs, qs)
-    assert got.tolist() == [float(_atan_ratio(c, q)) for c, q in zip(cs, qs)]
-    assert got[0] == qs[0] and got[-1] == pytest.approx(0.25 * math.pi)
-    # the float lane (scalar primitives) and the array lane (batch) share
-    # the series and agree on either side of the switch, and at c = 0
-    ts = np.concatenate([np.geomspace(1e-9, 1e-3, 61), [0.999999e-6, 1e-6, 1.000001e-6]])
+            assert _atan_ratio_float(c, q) == pytest.approx(series, rel=1e-9)
+            assert _atan_ratio_float(c, q) == pytest.approx(math.atan(t) / c, rel=1e-9)
+    # a float on either side of the switch, and the limit q at c = 0
+    ts = np.geomspace(1e-9, 1e-3, 61).tolist() + [0.999999e-6, 1e-6, 1.000001e-6]
     for c in (1e-3, 1e-6, 0.5, 3.0):
-        qs = ts / c
-        lane = _atan_ratio(np.full_like(qs, c), qs)
-        for q, want in zip(qs.tolist(), lane.tolist()):
-            got = _atan_ratio_float(c, q)
+        for t in ts:
+            got = _atan_ratio_float(c, t / c)
             assert type(got) is float
-            assert abs(got - want) <= 2e-16 * abs(want), (c, q)
+            assert got == pytest.approx(math.atan(t) / c, rel=1e-15)
     assert _atan_ratio_float(0.0, 0.7) == 0.7
     # end-to-end: tiny c activates the series inside R2 on a well-conditioned
     # interval, and the value still matches quadrature
