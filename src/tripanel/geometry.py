@@ -46,6 +46,10 @@ class Panel:
         self.verts = np.array([v1, v2, v3], dtype=float)  # (3, 3), rows v1..v3
         self.v1, self.v2, self.v3 = self.verts
         a, b, c = self.verts.tolist()
+        for k, v in enumerate(a + b + c):
+            if not math.isfinite(v):
+                raise DegenerateTriangle(
+                    f"panel vertex {k // 3 + 1} has a non-finite coordinate {k % 3}: {v!r}")
         ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
         wx, wy, wz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
         cr = (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
@@ -70,6 +74,9 @@ class Target:
 
     def __init__(self, x, n=None):
         self.x = np.asarray(x, dtype=float)
+        for k, v in enumerate(self.x.ravel().tolist()):
+            if not math.isfinite(v):
+                raise ValueError(f"target has a non-finite coordinate {k}: {v!r}")
         if n is None:
             self.n = None
         else:
@@ -86,20 +93,22 @@ class Target:
 def rotation_to_z(n) -> np.ndarray:
     """Rotation matrix mapping the unit vector n onto (0, 0, 1).
 
-    Rodrigues formula about the axis n x e_z; the anti-parallel case is
-    handled by composing with a 180-degree flip about the x-axis.
+    Rodrigues formula about the axis n x e_z, on Python floats; the
+    anti-parallel case is handled by composing with a 180-degree flip
+    about the x-axis.
     """
-    n = np.asarray(n, dtype=float)
-    nz = n[2]
-    if nz < 0.0:
-        # compose with a half-turn about x: rotation_to_z(-n) sends n to -e_z
-        flip = np.diag([1.0, -1.0, -1.0])
-        return flip @ rotation_to_z(-n)
-    v = np.array([n[1], -n[0], 0.0])  # n x e_z
-    k = np.array([[0.0, -v[2], v[1]],
-                  [v[2], 0.0, -v[0]],
-                  [-v[1], v[0], 0.0]])
-    return np.eye(3) + k + (k @ k) / (1.0 + nz)
+    nx, ny, nz = (float(v) for v in n)
+    flip = nz < 0.0
+    if flip:  # a half-turn about x after rotation_to_z(-n) sends n to -e_z
+        nx, ny, nz = -nx, -ny, -nz
+    w = 1.0 + nz
+    xy = -nx * ny / w
+    rows = [[1.0 - nx * nx / w, xy, -nx],
+            [xy, 1.0 - ny * ny / w, -ny],
+            [nx, ny, 1.0 - (nx * nx + ny * ny) / w]]
+    if flip:
+        rows[1:] = [[-v for v in row] for row in rows[1:]]
+    return np.array(rows) + 0.0  # zeros signed +, as numpy's sums leave them
 
 
 def orient_planar(p1, p2, p3) -> "PlanarTriangle":

@@ -5,10 +5,11 @@ Assembles the radial primitives over a polar decomposition into moments
     I_{a,b} = int_T s1^a s2^b / (s1^2 + s2^2 + c^2)^(3/2) dS     (a + b <= 3)
     J_{a,b} = int_T s1^a s2^b / (s1^2 + s2^2 + c^2)^(1/2) dS     (a + b <= 1)
 
-over the planar triangle T of a normalized frame (one walk of the
-decomposition serves both: J is its degree <= 1 pass with the J radial
-kinds), then contracts them with the rotated target normal and a panel
-polynomial to evaluate
+over the planar triangle T of a normalized frame, in one telescoped walk
+of the decomposition (the radial primitives once per critical radius and
+once at each end of an edge side's run of slabs; J is its degree <= 1
+pass with the J radial kinds), then contracts them with the rotated
+target normal and a panel polynomial to evaluate
 
     int_panel K(x, y) p(y) dS,   K(x, y) = (x - y).n(x) / (4 pi |x - y|^3)
     int_panel G(x, y) p(y) dS,   G(x, y) = -1 / (4 pi |x - y|)
@@ -23,9 +24,9 @@ import numpy as np
 from .errors import DivergentIntegral
 from .geometry import (PolarDecomposition, _dot3, decompose_polar, normalize_frame,
                        orient_planar, roundoff_floor)
-from .radial_kernels import J1, J2, J3, R1, R2, R3, R4, R5, R6cubic, definite_radials
+from .radial_kernels import J1, J2, J3, R1, R2, R3, R4, R5, R6cubic, radial_primitives
 # a panel_integrals attribute that bench/layers.py traces; the moments
-# evaluate every kind of a boundary at once through definite_radials
+# evaluate every kind at a radius at once through radial_primitives
 from .radial_kernels import definite_radial  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
@@ -62,13 +63,12 @@ def _k_radial_kinds(min_degree: int, max_degree: int):
             + ((R2,) if min_degree == 0 else ()))
 
 
-def _radials(kinds, r_lo, r_hi, c, d):
-    """definite_radials, with a leading R1 or R3 taken as infinite where
-    it diverges (c = 0 with the interval reaching r = 0): every use of
-    it then carries a d = 0 or c = 0 coefficient, so it is never touched."""
-    if c == 0.0 and r_lo == 0.0 and (kinds[0] is R1 or kinds[0] is R3):
-        return [math.inf] + definite_radials(kinds[1:], r_lo, r_hi, c, d)
-    return definite_radials(kinds, r_lo, r_hi, c, d)
+def _primitives_at(kinds, r, c, d):
+    """radial_primitives, with a leading R1 or R3 as -inf where it diverges
+    (c = 0 at r = 0); no moment that the coplanar rule lets through reads it."""
+    if c == 0.0 and r == 0.0 and (kinds[0] is R1 or kinds[0] is R3):
+        return [-math.inf] + radial_primitives(kinds[1:], r, c, d)
+    return radial_primitives(kinds, r, c, d)
 
 
 def compute_k_moments(dec: PolarDecomposition, c: float, max_degree: int = 3,
@@ -103,79 +103,79 @@ def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, 
 
 def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
     """The moments of degrees min_degree..max_degree in MONOMIALS order
-    (0.0 for the others), summed over the slabs and the edge boundaries
-    of the decomposition from the radial kinds of each."""
-    radials = _radials if c == 0.0 else definite_radials  # R1, R3 finite at c != 0
+    (0.0 for the others), summed over the slabs and the edge sides of the
+    decomposition.  The walk telescopes: the d = 0 slab kinds are
+    evaluated once per critical radius, and the part of an edge side, whose
+    d, phi, sign and start/end role are the same in every slab it bounds,
+    is taken once over its run of consecutive slabs."""
+    prims = _primitives_at if c == 0.0 else radial_primitives  # R1, R3 finite at c != 0
     deg0, deg1 = min_degree == 0, min_degree <= 1 <= max_degree
     slab2 = max_degree >= 2 and min_degree <= 2  # the slab part of m20, m02
     upto1 = max_degree <= 1
     m00 = m10 = m01 = m20 = m11 = m02 = m30 = m21 = m12 = m03 = 0.0
+    runs = {}  # (role, edge side) -> [role, side, r_lo, P(r_lo), r_hi, P(r_hi)]
+    order = []
+    r_prev = p_prev = None
     for slab in dec.slabs:
         r0, r1 = slab.r_lo, slab.r_hi
-        radial = radials(slab_kinds, r0, r1, c, 0.0)
-        dR1 = radial[0]
-        dR4 = 0.0 if upto1 else radial[1]
-        dJ1 = radial[2] if max_degree >= 3 else 0.0
-        if slab.full_circle:
-            if deg0:
-                m00 += 2.0 * math.pi * dR1
-            if slab2:
-                half = math.pi * dR4
-                m20 += half
-                m02 += half
-            # odd angular moments vanish over the full circle
-            continue
-        for seg in slab.segments:
-            if deg0:
-                m00 += seg.dphi * dR1
-            if slab2:
-                m20 += 0.5 * seg.dphi * dR4
-                m02 += 0.5 * seg.dphi * dR4
+        p0 = p_prev if r0 == r_prev else prims(slab_kinds, r0, c, 0.0)
+        p1 = prims(slab_kinds, r1, c, 0.0)
+        r_prev, p_prev = r1, p1
+        # a full circle has no edge sides: its odd angular moments vanish
+        dphi = 2.0 * math.pi if slab.full_circle else 0.0
+        for seg in slab.segments or ():
+            dphi += seg.dphi
             for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
-                d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
-                lo = r0 if r0 >= d else d  # r0 >= d up to merge rounding
-                radial = radials(edge_kinds, lo, r1, c, d)
-                sin_p, cos_p = math.sin(phi), math.cos(phi)
-                if deg0:
-                    m00 += sigma * sgn * radial[-1]
-                dR3 = radial[0]  # R2 at max_degree 0, unused there
-                if deg1:
-                    m10 += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
-                    m01 += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
-                if upto1:
-                    continue
-                sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
-                dR5 = radial[1]
-                edge_part = (0.5 * d * d * sin2 * dR1
-                             + 0.5 * sgn * d * cos2 * dR3) if d != 0.0 else 0.0
-                m20 += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
-                m02 += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
-                m11 += sigma * (-0.5 * sin_p * sin_p * dR4
-                                + ((-0.5 * d * d * cos2 * dR1
-                                    + 0.5 * sgn * d * sin2 * dR3)
-                                   if d != 0.0 else 0.0))
-                if max_degree < 3:
-                    continue
-                dJ3, dR6 = radial[2], radial[3]
-                # dT integrates Q r^3 / S^3, dU integrates Q^2 r / S^3
-                dT = dJ3 - c * c * dR3 if c != 0.0 else dJ3
-                if d != 0.0:
-                    dU = dJ1 - (c * c + d * d) * dR1
-                    fB = (d ** 3 * sin_p ** 3 * dR1
-                          + 3.0 * sgn * d * d * sin_p * sin_p * cos_p * dR3
-                          + 3.0 * d * sin_p * cos_p * cos_p * dU
-                          + sgn * cos_p ** 3 * dR6) / 3.0
-                    fBp = (d ** 3 * cos_p ** 3 * dR1
-                           - 3.0 * sgn * d * d * cos_p * cos_p * sin_p * dR3
-                           + 3.0 * d * cos_p * sin_p * sin_p * dU
-                           - sgn * sin_p ** 3 * dR6) / 3.0
+                run = runs.get((sigma, id(bnd)))
+                if run is not None and run[4] == r0:
+                    run[4], run[5] = r1, p1
                 else:
-                    fB = sgn * cos_p ** 3 * dR6 / 3.0
-                    fBp = -sgn * sin_p ** 3 * dR6 / 3.0
-                m30 += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
-                m12 += sigma * fB
-                m21 += sigma * (-fBp)
-                m03 += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
+                    runs[sigma, id(bnd)] = run = [sigma, bnd, r0, p0, r1, p1]
+                    order.append(run)
+        if deg0:
+            m00 += dphi * (p1[0] - p0[0])
+        if slab2:
+            m20 += 0.5 * dphi * (p1[1] - p0[1])
+    m02 = m20  # the slab parts of m20 and m02 are equal
+    for sigma, bnd, r0, p0, r1, p1 in order:
+        d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
+        lo = r0 if r0 >= d else d  # r0 >= d up to merge rounding
+        radial = [a - b for a, b in zip(prims(edge_kinds, r1, c, d),
+                                        prims(edge_kinds, lo, c, d))]
+        dR1 = p1[0] - p0[0]
+        sin_p, cos_p = math.sin(phi), math.cos(phi)
+        if deg0:
+            m00 += sigma * sgn * radial[-1]
+        dR3 = radial[0]  # R2 at max_degree 0, unused there
+        if deg1:
+            m10 += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
+            m01 += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
+        if upto1:
+            continue
+        sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
+        dR4, dR5 = p1[1] - p0[1], radial[1]
+        # dR1 and dR3 in the terms with a factor d, which vanish at d = 0
+        # (where dR1 and dR3 may stand for a divergent radial)
+        e1, e3 = (dR1, dR3) if d != 0.0 else (0.0, 0.0)
+        edge_part = 0.5 * d * d * sin2 * e1 + 0.5 * sgn * d * cos2 * e3
+        m20 += sigma * (-0.25 * sin2 * dR4 + 0.5 * sgn * dR5 + edge_part)
+        m02 += sigma * (0.25 * sin2 * dR4 + 0.5 * sgn * dR5 - edge_part)
+        m11 += sigma * (-0.5 * sin_p * sin_p * dR4
+                        + (-0.5 * d * d * cos2 * e1 + 0.5 * sgn * d * sin2 * e3))
+        if max_degree < 3:
+            continue
+        dJ1, dJ3, dR6 = p1[2] - p0[2], radial[2], radial[3]
+        # dT integrates Q r^3 / S^3, dU integrates Q^2 r / S^3
+        dT = dJ3 - c * c * dR3 if c != 0.0 else dJ3
+        dU = dJ1 - (c * c + d * d) * e1
+        fB = (d ** 3 * sin_p ** 3 * e1 + 3.0 * sgn * d * d * sin_p * sin_p * cos_p * e3
+              + 3.0 * d * sin_p * cos_p * cos_p * dU + sgn * cos_p ** 3 * dR6) / 3.0
+        fBp = (d ** 3 * cos_p ** 3 * e1 - 3.0 * sgn * d * d * cos_p * cos_p * sin_p * e3
+               + 3.0 * d * cos_p * sin_p * sin_p * dU - sgn * sin_p ** 3 * dR6) / 3.0
+        m30 += sigma * (d * sin_p * dR4 + sgn * cos_p * dT - fB)
+        m12 += sigma * fB
+        m21 += sigma * (-fBp)
+        m03 += sigma * (-d * cos_p * dR4 + sgn * sin_p * dT + fBp)
     return (m00, m10, m01, m20, m11, m02, m30, m21, m12, m03)
 
 

@@ -11,12 +11,14 @@ All primitives are evaluated in numerically stable rewrites: terms of the
 shape log((S+Q)/sqrt(c^2+d^2)) (= arctanh(Q/S)) go through log1p,
 arccos(d/r) is arctan2(Q, d), and arctan(c*q)/c uses a 4-term odd series
 when |c*q| is tiny.  r, c and d are Python floats and every primitive is
-plain `math`.  `definite_radials` checks a boundary (r_lo, r_hi, c, d)
-once and evaluates S, Q, the angle, the log and the arctan term once per
-endpoint for every kind requested; `definite_radial` is its one-kind
-view, so each formula lives in one place (`_primitives`).  Domains are
-validated, and DivergentIntegral is raised where the antiderivative is
--inf (r=0 with c=0 for R1/R2/R3).
+plain `math`.  `radial_primitives` evaluates S, Q, the angle, the log and
+the arctan term once at a radius for every kind requested; the moment
+walk calls it once per critical radius and once at each end of an edge
+side's run, and takes the differences itself.  `definite_radials` and its
+one-kind view `definite_radial` are primitive(r_hi) - primitive(r_lo) from
+the same evaluation, so each formula lives in one place (`_primitives`).
+Domains are validated, and DivergentIntegral is raised where the
+antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
 """
 
 from __future__ import annotations
@@ -160,21 +162,24 @@ def _radius(kinds, r: float, c: float, d: float) -> float:
     return r
 
 
-def definite_radials(kinds, r_lo: float, r_hi: float, c: float, d: float) -> list:
-    """primitive(r_hi) - primitive(r_lo) of each kind in the tuple kinds.
+def radial_primitives(kinds, r: float, c: float, d: float) -> list:
+    """Each kind's primitive at r, for the tuple kinds: c and d are
+    prepared and r is checked once, and S, Q, the angle, the log and the
+    arctan terms are evaluated once for every kind (`_primitives`)."""
+    c, d = _prepare(c, d)
+    return _primitives(kinds, _radius(kinds, r, c, d), c, d)
 
-    The boundary (r_lo, r_hi, c, d) is checked once and each endpoint is
-    evaluated once for all kinds; the values equal definite_radial's,
-    which is this function on one kind.
+
+def definite_radials(kinds, r_lo: float, r_hi: float, c: float, d: float) -> list:
+    """primitive(r_hi) - primitive(r_lo) of each kind in the tuple kinds;
+    the values equal definite_radial's, which is this function on one kind.
     """
     if r_hi < r_lo:
         raise ValueError(f"empty radial interval [{r_lo!r}, {r_hi!r}]")
     if r_hi == r_lo:
         return [0.0] * len(kinds)
-    c, d = _prepare(c, d)
-    hi = _primitives(kinds, _radius(kinds, r_hi, c, d), c, d)
-    lo = _primitives(kinds, _radius(kinds, r_lo, c, d), c, d)
-    return [a - b for a, b in zip(hi, lo)]
+    hi = radial_primitives(kinds, r_hi, c, d)
+    return [a - b for a, b in zip(hi, radial_primitives(kinds, r_lo, c, d))]
 
 
 def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,

@@ -1,5 +1,7 @@
-"""The 50-digit solid-angle reference and the near-vertex targets that
-the scalar and batch K tests share."""
+"""The 50-digit solid-angle reference, the panels near the pole and the
+near-vertex targets that the scalar and batch K tests share, and the
+seeded planar triangles with grazing origins that the decomposition and
+moment-walk tests share."""
 
 import math
 
@@ -7,7 +9,7 @@ import mpmath
 import numpy as np
 
 from tripanel.errors import DegenerateTriangle
-from tripanel.geometry import Panel, rotation_to_z
+from tripanel.geometry import Panel, orient_planar, rotation_to_z
 
 
 def vos_k_unit_density(verts, x):
@@ -31,17 +33,23 @@ def vos_k_unit_density(verts, x):
         return float(-omega / (4 * mpmath.pi))
 
 
-def near_vertex_case(rng, k):
+def pole_panel(rng):
     """A panel of diameter ~1e-2 on the unit sphere near its north pole,
-    shifted so the pole is the origin, and a target whose foot lies
-    1e-12..1e-8 from vertex k, 1e-9..1e-2 above or below the panel."""
+    shifted so the pole is the origin, and its vertices."""
     while True:
         xy = rng.uniform(-0.01, 0.01, size=(3, 2))
         verts = np.column_stack([xy, np.sqrt(1.0 - (xy ** 2).sum(axis=1)) - 1.0])
         try:
-            panel = Panel(*verts)
+            return Panel(*verts), verts
         except DegenerateTriangle:
             continue
+
+
+def near_vertex_case(rng, k):
+    """A pole_panel and a target whose foot lies 1e-12..1e-8 from vertex k,
+    1e-9..1e-2 above or below the panel."""
+    while True:
+        panel, verts = pole_panel(rng)
         t1, t2 = rotation_to_z(panel.normal)[:2]
         angle = rng.uniform(0.0, 2.0 * math.pi)
         offset = 10.0 ** rng.uniform(-12.0, -8.0) * (math.cos(angle) * t1
@@ -58,3 +66,30 @@ def near_vertex_case(rng, k):
             gaps += [d, np.linalg.norm(offset) - d]
         if min(gaps) > 2e-14:
             return panel, verts[k] + offset + height * panel.normal
+
+
+def grazing_triangle(rng, placement):
+    """A seeded planar triangle of diameter ~1e-2..1, oriented, whose origin
+    is a generic point in or near it ("generic"), or 1e-14..1e-6 of its
+    diameter from an edge line ("edge") or a vertex ("vertex")."""
+    while True:
+        scale = 10.0 ** rng.uniform(-2.0, 0.0)
+        pts = scale * rng.uniform(-1.0, 1.0, size=(3, 2))
+        k = rng.integers(3)
+        offset = scale * 10.0 ** rng.uniform(-14.0, -6.0)
+        if placement == "edge":
+            edge = pts[(k + 1) % 3] - pts[k]
+            side = np.array([-edge[1], edge[0]]) / np.linalg.norm(edge)
+            origin = (pts[k] + rng.uniform(-0.5, 1.5) * edge
+                      + rng.choice([-1.0, 1.0]) * offset * side)
+        elif placement == "vertex":
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            origin = pts[k] + offset * np.array([math.cos(angle), math.sin(angle)])
+        else:
+            centroid = pts.mean(axis=0)  # inside, or outside up to 2x as far
+            origin = centroid + rng.uniform(0.0, 2.0) * (rng.dirichlet(np.ones(3)) @ pts
+                                                         - centroid)
+        try:
+            return orient_planar(*(pts - origin))
+        except DegenerateTriangle:
+            continue

@@ -22,6 +22,9 @@ from tripanel.geometry import (
     rotation_to_z,
     roundoff_floor,
 )
+from tripanel.panel_integrals import integrate_g_panel, integrate_k_panel
+
+from solid_angle import grazing_triangle
 
 # the worked decomposition example triangle
 FIG_VERTS = [(0.0, 2.0), (-2.0, -1.0), (3.0, 0.0)]
@@ -349,3 +352,36 @@ def test_slabs_are_consecutive_critical_radii(t):
     assert where == sorted(set(where))
     if opens_at_zero and point_in_triangle((0.0, 0.0), tri, tol=0.0):
         assert got[0] == (0.0, radii[0])
+
+
+@pytest.mark.parametrize("placement", ["generic", "edge", "vertex"])
+def test_edge_sides_run_over_consecutive_slabs(placement):
+    # the moment walk takes an edge side's part once over its slabs: they
+    # must be one run, consecutive in r, with one start/end role
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        runs = {}  # edge side -> [role, r_lo, r_hi]
+        for slab in decompose_polar(grazing_triangle(rng, placement)).slabs:
+            for seg in slab.segments or ():
+                for role, side in (("end", seg.end), ("start", seg.start)):
+                    run = runs.setdefault(id(side), [role, slab.r_lo, slab.r_lo])
+                    assert run[0] == role and run[2] == slab.r_lo
+                    run[2] = slab.r_hi
+
+
+@pytest.mark.parametrize("verts", [
+    ([0, 0, 0], [1, 0, 0], [0, math.nan, 0]),
+    ([0, 0, 0], [1, 0, math.inf], [0, 1, 0]),
+    ([-math.inf, 0, 0], [1, 0, 0], [0, 1, 0]),
+], ids=["nan", "inf", "-inf"])
+def test_non_finite_panel_raises_naming_the_coordinate(verts):
+    with pytest.raises(DegenerateTriangle, match="non-finite coordinate"):
+        Panel(*verts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("integrate", [integrate_k_panel, integrate_g_panel])
+def test_non_finite_target_raises_value_error(bad, integrate):
+    panel = Panel([0, 0, 0], [1, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError, match=f"non-finite coordinate 1: {bad!r}"):
+        integrate(panel, Target([0.2, bad, 0.1], n=[0.0, 0.0, 1.0]))

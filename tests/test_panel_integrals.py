@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripanel import radial_kernels
 from tripanel.errors import DivergentIntegral
 from tripanel.geometry import (Panel, PolarDecomposition, PolarSlab, Target, decompose_polar,
                                orient_planar)
@@ -20,8 +21,10 @@ from tripanel.panel_integrals import (
     integrate_g_panel,
     integrate_k_panel,
 )
+from tripanel.radial_kernels import J1, R1, R4
+from tripanel.radial_kernels import _primitives as primitives
 
-from solid_angle import near_vertex_case, vos_k_unit_density
+from solid_angle import grazing_triangle, near_vertex_case, pole_panel, vos_k_unit_density
 
 FOUR_PI = 4.0 * math.pi
 # the flat oracle's absolute floor, as strict as before the 1/(4 pi)
@@ -573,3 +576,45 @@ def test_g_rejects_quadratic():
     p = PanelPolynomial.quadratic([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         integrate_g_panel(panel, Target([0.0, 0.0, 1.0]), p)
+
+
+def test_walk_evaluates_each_radius_and_edge_side_once(monkeypatch):
+    # the walk telescopes: the slab kinds (R1, R4, J1) once per critical
+    # radius, an edge side's kinds once at each end of its run of slabs
+    calls = []
+
+    def spy(kinds, r, c, d):
+        calls.append((set(kinds) <= {R1, R4, J1}, r))
+        return primitives(kinds, r, c, d)
+
+    monkeypatch.setattr(radial_kernels, "_primitives", spy)
+    rng = np.random.default_rng(29)
+    for case in range(300):
+        dec = decompose_polar(grazing_triangle(rng, ("generic", "edge", "vertex")[case % 3]))
+        radii = {r for s in dec.slabs for r in (s.r_lo, s.r_hi)}
+        n_sides = len({id(side) for s in dec.slabs for seg in s.segments or ()
+                       for side in (seg.start, seg.end)})
+        c = 0.0 if case % 5 == 0 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 0.0)
+        for walk in (lambda: compute_k_moments(dec, c, 3, 2 if c == 0.0 else 0),
+                     lambda: compute_g_moments(dec, c)):
+            calls.clear()
+            walk()
+            slab_r = [r for is_slab, r in calls if is_slab]
+            assert len(slab_r) == len(set(slab_r)) <= len(radii)
+            assert len(calls) - len(slab_r) <= 2 * n_sides
+
+
+def test_k_interior_feet_match_van_oosterom_strackee():
+    rng = np.random.default_rng(300)
+    worst = 0.0
+    for _ in range(300):
+        panel, verts = pole_panel(rng)
+        # interior feet: outside the panel the value is O(height), and below
+        # 1e-8 its relative error follows the roundoff of the height itself
+        foot = rng.dirichlet(np.ones(3)) @ verts
+        height = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -2.0)
+        x = foot + height * panel.normal
+        ref = vos_k_unit_density(verts, x)
+        val = integrate_k_panel(panel, Target(x, n=panel.normal))
+        worst = max(worst, abs(val - ref) / abs(ref))
+    assert worst <= 1e-12
