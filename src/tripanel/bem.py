@@ -352,8 +352,15 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
     asm = _Assembly(meshes, normals, forms, probes)
     for mesh in asm.meshes:
         require_closed_outward(mesh)
-    singular = _strategy_values(strategy, asm, _HATS)
     n_nodes = len(asm.nodes)
+    rhs = np.zeros(n_nodes)
+    if neumann_bc is not None:
+        head = len(asm.meshes[0].nodes)
+        rhs[:head] = [float(neumann_bc(x)) for x in asm.meshes[0].nodes]
+        if not np.isfinite(rhs).all():
+            bad = int(np.nonzero(~np.isfinite(rhs))[0][0])
+            raise ValueError(f"neumann_bc is non-finite at node {bad}: {rhs[bad]!r}")
+    singular = _strategy_values(strategy, asm, _HATS)
     matrix = np.zeros((n_nodes, n_nodes))
     for start, stop, vals, at in _pair_blocks(
             asm, asm.nodes, asm.normals, _HATS, on_nodes=True):
@@ -361,10 +368,6 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
         matrix[start:stop] = _scatter(asm, vals)
     jump = np.where(asm.mesh_of_node(np.arange(n_nodes)) == 0, -0.5, 0.5)
     matrix[np.diag_indices(n_nodes)] += jump
-    rhs = np.zeros(n_nodes)
-    if neumann_bc is not None:
-        head = len(asm.meshes[0].nodes)
-        rhs[:head] = [float(neumann_bc(x)) for x in asm.meshes[0].nodes]
     return BemSystem(matrix, rhs, asm.offsets, asm.meshes)
 
 
@@ -466,7 +469,11 @@ def single_layer_matrix(meshes):
 def _layer_values(asm, gamma, points, normals):
     """sum_panels int kernel * gamma dS per point (K with normals, else G);
     (N, D) for normals of shape (N, D, 3)."""
-    gamma_tri = np.asarray(gamma, dtype=float)[asm.tris]      # (P, 3)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (len(asm.nodes),):
+        raise ValueError(f"gamma has shape {gamma.shape}, not one value per "
+                         f"node ({len(asm.nodes)})")
+    gamma_tri = gamma[asm.tris]  # (P, 3)
     dirs = () if normals is None else normals.shape[1:-1]
     out = np.zeros((len(points), *dirs))
     for start, stop, vals, _ in _pair_blocks(asm, points, normals, _HATS):

@@ -152,6 +152,8 @@ def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> list:
 
 def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:
     """Signed-distance probe of a sphere."""
+    if not radius > 0.0:
+        raise ValueError("need radius > 0")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
     def value(x):

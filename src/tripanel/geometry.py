@@ -3,12 +3,13 @@
 The closed-form panel integrals work in a canonical frame: the triangle lies
 in the z=0 plane, the target sits on the z-axis at (0,0,c).  A triangle in
 that plane is then decomposed, in polar coordinates about the origin, into
-radial slabs bounded by consecutive critical radii; inside a slab the angular
-cross-section is either the full circle or a fixed list of arcs whose
-endpoint angles follow theta(r) = sign*arccos(d/r) + phi along the edges.
+radial slabs bounded by consecutive critical radii.  Circles cross each side
+of an edge over one interval of r, where the crossing angle follows
+theta(r) = sign*arccos(d/r) + phi; a slab holds its total angle and the
+sides it crosses, and each side's run over consecutive slabs is listed once.
 The planar work runs on Python floats, points as (x, y) pairs, and
-decompose_polar reads the critical radii and the crossings from one edge
-table per triangle.
+decompose_polar reads the critical radii and the runs from one edge table
+per triangle.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ def _acos_ratio(d, r):
 
 @dataclass
 class AngleBoundary:
-    """One angular endpoint of a slab segment: theta(r) = sign*arccos(d/r) + phi."""
+    """The angle at which circles cross one side of an edge:
+    theta(r) = sign*arccos(d/r) + phi."""
     sign: int
     d: float
     phi: float
@@ -330,75 +332,50 @@ class AngleBoundary:
         """theta(r) - phi."""
         return self.sign * _acos_ratio(self.d, r)
 
-    def theta(self, r: float) -> float:
-        return self.phi + self.sweep(r)
-
-
-@dataclass
-class Segment:
-    """An arc of the circle inside the triangle, from start to end boundary.
-
-    dphi is the branch-corrected phi_end - phi_start, so the angular measure
-    at radius r is dphi + sign_e*arccos(d_e/r) - sign_s*arccos(d_s/r), always
-    in (0, 2*pi).
-    """
-    start: AngleBoundary
-    end: AngleBoundary
-    dphi: float
-
-    def measure(self, r: float) -> float:
-        return self.dphi + self.end.sweep(r) - self.start.sweep(r)
-
 
 @dataclass
 class PolarSlab:
-    """Radial slab [r_lo, r_hi]; segments is None for the full circle."""
+    """Radial slab [r_lo, r_hi] and the edge sides its circles cross, as
+    (sigma, AngleBoundary): sigma is +1 where a side ends an arc of the
+    circle inside the triangle and -1 where it starts one.  dphi is the
+    slab's total, so the arcs at radius r measure dphi + sum of
+    sigma*sweep(r); a full circle has no sides and dphi = 2*pi.
+    """
     r_lo: float
     r_hi: float
-    segments: list[Segment] | None
+    dphi: float
+    sides: list[tuple[int, AngleBoundary]]
     activity: tuple[int, int, int]
 
     @property
     def full_circle(self) -> bool:
-        return self.segments is None
+        return not self.sides
 
     def angular_measure(self, r: float) -> float:
-        if self.segments is None:
-            return 2.0 * math.pi
-        return sum(seg.measure(r) for seg in self.segments)
+        return self.dphi + sum(sigma * bnd.sweep(r) for sigma, bnd in self.sides)
 
 
 @dataclass
 class PolarDecomposition:
+    """The slabs, and each crossed edge side once as its run
+    (sigma, AngleBoundary, r_lo, r_hi) over the consecutive slabs that list it."""
     slabs: list[PolarSlab]
-
-
-def _crossing_sides(eg: EdgeGeometry, r: float) -> list[int]:
-    """Which u-sides of the edge the circle of radius r crosses (open tests)."""
-    if eg.foot_on_edge:
-        sides = []
-        if eg.d < r < eg.norm_b:
-            sides.append(1)
-        if eg.d < r < eg.norm_a:
-            sides.append(-1)
-        return sides
-    lo, hi = min(eg.norm_a, eg.norm_b), max(eg.norm_a, eg.norm_b)
-    if lo < r < hi:
-        return [1 if eg.t_foot < 0.0 else -1]
-    return []
+    runs: list[tuple[int, AngleBoundary, float, float]]
 
 
 def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     """Split the triangle into radial slabs with constant angular structure.
 
-    Between consecutive critical radii the circle of radius r meets the edges
-    in a fixed pattern, classified at the slab midpoint: each crossing on the
-    positive-u side of an edge starts an interior arc, each one on the
-    negative-u side ends one.  Sorting the crossings by angle and pairing
-    start->end yields the segments; no crossings means the circle is entirely
-    inside (full-circle slab) or entirely outside (slab dropped).  When the
-    origin lies in the closed triangle the first slab opens at r = 0, unless
-    the smallest critical radius is already zero up to roundoff_floor.
+    Circles of radius r cross each side of an edge over one open interval
+    of r, read from d, |A|, |B| and the foot: the u > 0 side of an edge
+    starts an interior arc, the u < 0 side ends one.  A slab lists the
+    sides crossed at its midpoint; its total dphi is the sum of
+    sigma*phi, branch-corrected at the midpoint, where the arcs measure
+    less than 2*pi.  No crossings means the circle is entirely inside
+    (full-circle slab) or entirely outside (slab dropped).  When the
+    origin lies in the closed triangle the first slab opens at r = 0,
+    unless the smallest critical radius is already zero up to
+    roundoff_floor.
     """
     egs = edge_geometry(tri)
     bounds = _merged_radii(egs)
@@ -409,44 +386,41 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
     cn = math.hypot(cx, cy)
     ref_x, ref_y = (cx / cn, cy / cn) if cn > 1e-14 else (1.0, 0.0)
-    # the boundary of each edge side (u < 0, u > 0), shared by every slab
-    sides_of = [(AngleBoundary(-eg.ori, eg.d, eg.phi), AngleBoundary(eg.ori, eg.d, eg.phi))
-                for eg in egs]
+    sides = []  # (edge, (sigma, boundary), lo, hi): crossed by circles lo < r < hi
+    for k, eg in enumerate(egs):
+        if eg.foot_on_edge:
+            intervals = ((1, eg.d, eg.norm_b), (-1, eg.d, eg.norm_a))
+        else:
+            intervals = ((1 if eg.t_foot < 0.0 else -1,
+                          min(eg.norm_a, eg.norm_b), max(eg.norm_a, eg.norm_b)),)
+        sides += [(k, (-u, AngleBoundary(u * eg.ori, eg.d, eg.phi)), lo, hi)
+                  for u, lo, hi in intervals]
 
-    slabs = []
+    two_pi = 2.0 * math.pi
+    slabs, spans = [], {}  # spans: id(side) -> [side, r_lo, r_hi] of its run
     for r_lo, r_hi in zip(bounds[:-1], bounds[1:]):
         r_mid = 0.5 * (r_lo + r_hi)
-        boundaries = []  # (theta_mid_raw, is_start, AngleBoundary)
-        activity = []
-        for eg, side_bnds in zip(egs, sides_of):
-            sides = _crossing_sides(eg, r_mid)
-            activity.append(_ACTIVITY[len(sides)])
-            for s in sides:
-                ab = side_bnds[s > 0]
-                boundaries.append((ab.theta(r_mid), s > 0, ab))
-        activity = tuple(activity)
-
-        if not boundaries:
+        crossed = [side for side in sides if side[2] < r_mid < side[3]]
+        counts = [0, 0, 0]
+        for side in crossed:
+            counts[side[0]] += 1
+        activity = (_ACTIVITY[counts[0]], _ACTIVITY[counts[1]], _ACTIVITY[counts[2]])
+        if not crossed:
             if point_in_triangle((r_mid * ref_x, r_mid * ref_y), tri, tol=0.0):
-                slabs.append(PolarSlab(r_lo, r_hi, None, activity))
+                slabs.append(PolarSlab(r_lo, r_hi, two_pi, [], activity))
             continue
-
-        if len(boundaries) % 2:
+        net = phi_sum = sweep_sum = 0.0
+        for _, (sigma, bnd), _, _ in crossed:
+            net += sigma
+            phi_sum += sigma * bnd.phi
+            sweep_sum += sigma * bnd.sweep(r_mid)
+        if net:
             raise DegenerateTriangle(
-                f"odd number of circle/edge crossings in slab [{r_lo:g}, {r_hi:g}]; "
+                f"unequal numbers of arc starts and ends in slab [{r_lo:g}, {r_hi:g}]; "
                 "the triangle is tangent to a critical circle inside a slab")
-        boundaries.sort(key=lambda b: b[0] % (2.0 * math.pi))
-        if not boundaries[0][1]:  # first sorted boundary ends an arc: rotate
-            boundaries = boundaries[-1:] + boundaries[:-1]
-        segments = []
-        two_pi = 2.0 * math.pi
-        for i in range(0, len(boundaries), 2):
-            th_s, is_start, bs = boundaries[i]
-            th_e, is_end_start, be = boundaries[i + 1]
-            if not is_start or is_end_start:
-                raise DegenerateTriangle(
-                    f"crossings do not alternate start/end in slab [{r_lo:g}, {r_hi:g}]")
-            dphi = (be.phi - bs.phi) - two_pi * math.floor((th_e - th_s) / two_pi)
-            segments.append(Segment(start=bs, end=be, dphi=dphi))
-        slabs.append(PolarSlab(r_lo, r_hi, segments, activity))
-    return PolarDecomposition(slabs=slabs)
+        dphi = phi_sum - two_pi * math.floor((phi_sum + sweep_sum) / two_pi)
+        slabs.append(PolarSlab(r_lo, r_hi, dphi, [side[1] for side in crossed], activity))
+        for side in crossed:
+            spans.setdefault(id(side), [side, r_lo, r_hi])[2] = r_hi
+    runs = [(*side[1], lo, hi) for side, lo, hi in spans.values()]
+    return PolarDecomposition(slabs=slabs, runs=runs)

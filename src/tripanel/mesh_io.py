@@ -59,6 +59,10 @@ class SurfaceMesh:
         return len(self.triangles)
 
     def validate(self):
+        for what, arr in (("node", self.nodes), ("node normal", self.node_normals)):
+            if arr is not None and not np.isfinite(arr).all():
+                bad = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
+                raise MeshError(f"{what} {bad} has a non-finite coordinate")
         tri = self.triangles
         n = len(self.nodes)
         if tri.size and (tri.min() < 0 or tri.max() >= n):

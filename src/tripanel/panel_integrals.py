@@ -103,41 +103,28 @@ def compute_g_moments(dec: PolarDecomposition, c: float) -> tuple[float, float, 
 
 def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
     """The moments of degrees min_degree..max_degree in MONOMIALS order
-    (0.0 for the others), summed over the slabs and the edge sides of the
-    decomposition.  The walk telescopes: the d = 0 slab kinds are
+    (0.0 for the others), summed over the slabs and the edge-side runs of
+    the decomposition.  The walk telescopes: the d = 0 slab kinds are
     evaluated once per critical radius, and the part of an edge side, whose
     d, phi, sign and start/end role are the same in every slab it bounds,
-    is taken once over its run of consecutive slabs."""
+    is taken once over its run."""
     prims = _primitives_at if c == 0.0 else radial_primitives  # R1, R3 finite at c != 0
     deg0, deg1 = min_degree == 0, min_degree <= 1 <= max_degree
     slab2 = max_degree >= 2 and min_degree <= 2  # the slab part of m20, m02
     upto1 = max_degree <= 1
     m00 = m10 = m01 = m20 = m11 = m02 = m30 = m21 = m12 = m03 = 0.0
-    runs = {}  # (role, edge side) -> [role, side, r_lo, P(r_lo), r_hi, P(r_hi)]
-    order = []
-    r_prev = p_prev = None
+    at = {r: prims(slab_kinds, r, c, 0.0)
+          for r in {r for slab in dec.slabs for r in (slab.r_lo, slab.r_hi)}}
     for slab in dec.slabs:
-        r0, r1 = slab.r_lo, slab.r_hi
-        p0 = p_prev if r0 == r_prev else prims(slab_kinds, r0, c, 0.0)
-        p1 = prims(slab_kinds, r1, c, 0.0)
-        r_prev, p_prev = r1, p1
-        # a full circle has no edge sides: its odd angular moments vanish
-        dphi = 2.0 * math.pi if slab.full_circle else 0.0
-        for seg in slab.segments or ():
-            dphi += seg.dphi
-            for sigma, bnd in ((1.0, seg.end), (-1.0, seg.start)):
-                run = runs.get((sigma, id(bnd)))
-                if run is not None and run[4] == r0:
-                    run[4], run[5] = r1, p1
-                else:
-                    runs[sigma, id(bnd)] = run = [sigma, bnd, r0, p0, r1, p1]
-                    order.append(run)
+        p0, p1 = at[slab.r_lo], at[slab.r_hi]
+        # the odd angular moments of a slab part vanish
         if deg0:
-            m00 += dphi * (p1[0] - p0[0])
+            m00 += slab.dphi * (p1[0] - p0[0])
         if slab2:
-            m20 += 0.5 * dphi * (p1[1] - p0[1])
+            m20 += 0.5 * slab.dphi * (p1[1] - p0[1])
     m02 = m20  # the slab parts of m20 and m02 are equal
-    for sigma, bnd, r0, p0, r1, p1 in order:
+    for sigma, bnd, r0, r1 in dec.runs:
+        p0, p1 = at[r0], at[r1]
         d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
         lo = r0 if r0 >= d else d  # r0 >= d up to merge rounding
         radial = [a - b for a, b in zip(prims(edge_kinds, r1, c, d),

@@ -1,5 +1,7 @@
 """Collocation BEM: assembly structure, strategies, solves, potentials."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,21 @@ def test_gradient_on_layer_raises_potential_does_not():
     with pytest.raises(DivergentIntegral):
         potential_gradient([mesh], gamma, node)
     assert np.isfinite(evaluate_potential([mesh], gamma, node)).all()
+
+
+@pytest.mark.parametrize("n_gamma", [41, 47])
+def test_layer_operators_reject_gamma_of_the_wrong_length(n_gamma):
+    mesh = generate_sphere_mesh(1)  # 42 nodes
+    points = np.array([[0.0, 0.0, 0.3]])
+    for operator in (evaluate_potential, potential_gradient):
+        with pytest.raises(ValueError, match="one value per node"):
+            operator([mesh], np.ones(n_gamma), points)
+
+
+def test_assemble_rejects_non_finite_neumann_data():
+    mesh = generate_sphere_mesh(1)
+    with pytest.raises(ValueError, match="neumann_bc is non-finite at node 0"):
+        assemble([mesh], neumann_bc=lambda x: math.nan)
 
 
 def test_gradient_axes_share_one_pair_pass_bit_for_bit():

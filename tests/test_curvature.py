@@ -67,6 +67,12 @@ def test_torus_probe_needs_minor_below_major(major, minor):
         torus_probe(major, minor)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+def test_sphere_probe_needs_positive_radius(radius):
+    with pytest.raises(ValueError, match="need radius > 0"):
+        sphere_probe(radius)
+
+
 def test_shape_operator_plane_is_zero():
     n = np.array([1.0, 2.0, -0.5])
     probe = SdfProbe(lambda x: n @ x + 0.3,

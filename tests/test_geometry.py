@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,7 +196,7 @@ def test_edge_sign_resolves_first_vertex(t):
         if na <= g.d + 1e-12:  # first vertex at the foot: any sign is valid
             continue
         # the first vertex lies on the u < 0 side when t_foot > 0: the
-        # side sign that _crossing_sides and the AngleBoundary sides use
+        # side sign that decompose_polar's edge sides use
         sign = -g.ori * (1 if g.t_foot > 0 else -1)
         theta = sign * math.acos(min(1.0, g.d / na)) + g.phi
         psi = math.atan2(a[1], a[0])
@@ -260,7 +261,9 @@ def test_decompose_slabs_contiguous():
             assert b.r_lo == pytest.approx(a.r_hi, rel=1e-15)
 
 
-def test_segment_midpoints_inside_boundaries_outside():
+def test_crossed_sides_bound_arcs_by_their_role():
+    # just past a side that ends an arc (sigma = +1) the circle is outside,
+    # just before it inside; a side that starts an arc the other way round
     for verts in [FIG_VERTS, [(2, 0), (3, 2), (4, -1)], [(0.1, 0.1), (1, 0), (0, 1)]]:
         tri = orient_planar(*verts)
         dec = decompose_polar(tri)
@@ -270,17 +273,54 @@ def test_segment_midpoints_inside_boundaries_outside():
                     for ang in np.linspace(0, 2 * math.pi, 9):
                         assert point_in_triangle(r * np.array([math.cos(ang), math.sin(ang)]), tri)
                     continue
-                for seg in slab.segments:
-                    th0 = seg.start.theta(r)
-                    mea = seg.measure(r)
-                    assert 0 < mea < 2 * math.pi + 1e-12
-                    mid = th0 + 0.5 * mea
-                    p_mid = r * np.array([math.cos(mid), math.sin(mid)])
-                    assert point_in_triangle(p_mid, tri, tol=1e-10)
-                    eps = 1e-7
-                    for ang in (th0 - eps, th0 + mea + eps):
-                        p_out = r * np.array([math.cos(ang), math.sin(ang)])
-                        assert not point_in_triangle(p_out, tri, tol=0)
+                assert 0 < slab.angular_measure(r) < 2 * math.pi + 1e-12
+                eps = 1e-7
+                for sigma, side in slab.sides:
+                    th = side.phi + side.sweep(r)
+                    p_in, p_out = (r * np.array([math.cos(ang), math.sin(ang)])
+                                   for ang in (th - sigma * eps, th + sigma * eps))
+                    assert point_in_triangle(p_in, tri, tol=1e-10)
+                    assert not point_in_triangle(p_out, tri, tol=0)
+
+
+def arc_measure_brute_force(tri, r):
+    """The angle of the circle of radius r inside the triangle, in 50-digit
+    arithmetic on the float vertices: the circle meets each edge where
+    |A + t (B - A)| = r, 0 < t < 1, and each arc between consecutive
+    crossings counts when its midpoint is in the closed triangle.  (In
+    floats, both the quadratic and point_in_triangle's cross products lose
+    the arcs at the grazing placements, where r is ~1e-14 of a far vertex.)"""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        edges = [[mpmath.mpf(v) for v in (*a, *b)] for a, b in tri.edges()]
+        angles = []
+        for ax, ay, bx, by in edges:
+            ex, ey = bx - ax, by - ay
+            qa, qb, qc = ex * ex + ey * ey, ax * ex + ay * ey, ax * ax + ay * ay - r * r
+            disc = qb * qb - qa * qc
+            if disc <= 0:
+                continue
+            for t in ((-qb - mpmath.sqrt(disc)) / qa, (-qb + mpmath.sqrt(disc)) / qa):
+                if 0 < t < 1:
+                    angles.append(mpmath.atan2(ay + t * ey, ax + t * ex))
+        angles = sorted(angles) or [mpmath.mpf(0)]
+        total = mpmath.mpf(0)
+        for lo, hi in zip(angles, angles[1:] + [angles[0] + 2 * mpmath.pi]):
+            px, py = r * mpmath.cos((lo + hi) / 2), r * mpmath.sin((lo + hi) / 2)
+            if all((bx - ax) * (py - ay) >= (by - ay) * (px - ax) for ax, ay, bx, by in edges):
+                total += hi - lo
+        return float(total)
+
+
+@pytest.mark.parametrize("placement", ["generic", "edge", "vertex"])
+def test_angular_measure_matches_brute_force_arcs(placement):
+    rng = np.random.default_rng(18)
+    for _ in range(400):
+        tri = grazing_triangle(rng, placement)
+        for slab in decompose_polar(tri).slabs:
+            r_mid = 0.5 * (slab.r_lo + slab.r_hi)
+            assert slab.angular_measure(r_mid) == pytest.approx(
+                arc_measure_brute_force(tri, r_mid), rel=0, abs=1e-12 * 2 * math.pi)
 
 
 def polar_area(dec):
@@ -356,17 +396,23 @@ def test_slabs_are_consecutive_critical_radii(t):
 
 @pytest.mark.parametrize("placement", ["generic", "edge", "vertex"])
 def test_edge_sides_run_over_consecutive_slabs(placement):
-    # the moment walk takes an edge side's part once over its slabs: they
-    # must be one run, consecutive in r, with one start/end role
+    # the moment walk takes an edge side's part once over its run: each
+    # side listed by a slab has one run, spanning exactly the consecutive
+    # slabs that list it, with one start/end role
     rng = np.random.default_rng(17)
     for _ in range(400):
-        runs = {}  # edge side -> [role, r_lo, r_hi]
-        for slab in decompose_polar(grazing_triangle(rng, placement)).slabs:
-            for seg in slab.segments or ():
-                for role, side in (("end", seg.end), ("start", seg.start)):
-                    run = runs.setdefault(id(side), [role, slab.r_lo, slab.r_lo])
-                    assert run[0] == role and run[2] == slab.r_lo
-                    run[2] = slab.r_hi
+        dec = decompose_polar(grazing_triangle(rng, placement))
+        assert len({id(side) for _, side, _, _ in dec.runs}) == len(dec.runs)
+        listed = {id(side) for slab in dec.slabs for _, side in slab.sides}
+        assert listed == {id(side) for _, side, _, _ in dec.runs}
+        for sigma, side, r_lo, r_hi in dec.runs:
+            where = [k for k, slab in enumerate(dec.slabs)
+                     if any(s is side for _, s in slab.sides)]
+            assert where == list(range(where[0], where[-1] + 1))
+            assert dec.slabs[where[0]].r_lo == r_lo and dec.slabs[where[-1]].r_hi == r_hi
+            assert all(sg == sigma for k in where for sg, s in dec.slabs[k].sides if s is side)
+            for a, b in zip(where, where[1:]):
+                assert dec.slabs[a].r_hi == dec.slabs[b].r_lo
 
 
 @pytest.mark.parametrize("verts", [

@@ -80,6 +80,19 @@ def test_validation_rejects_bad_meshes():
     SurfaceMesh(tri_nodes, [[0, 1, 2]], node_normals=np.tile([0.0, 0.0, 1.0], (3, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_validation_rejects_non_finite_coordinates(bad):
+    nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    normals = np.tile([0.0, 0.0, 1.0], (3, 1))
+    nodes[2, 1] = bad
+    with pytest.raises(MeshError, match="node 2 has a non-finite coordinate"):
+        SurfaceMesh(nodes, [[0, 1, 2]])
+    nodes[2, 1] = 1.0
+    normals[1, 2] = bad
+    with pytest.raises(MeshError, match="node normal 1 has a non-finite coordinate"):
+        SurfaceMesh(nodes, [[0, 1, 2]], node_normals=normals)
+
+
 def test_icosphere_counts_and_projection():
     m0 = generate_sphere_mesh(0)
     assert m0.n_nodes == 12 and m0.n_triangles == 20
