@@ -59,6 +59,8 @@ from .batch import (
 )
 from .curvature import (
     FundamentalForm,
+    _probe_eval,
+    _probe_points,
     estimate_fundamental_forms,
     estimate_normals,
     fundamental_form_from_shape,
@@ -227,8 +229,8 @@ class _Assembly:
 
 
 def _probe_normals(probe, points):
-    """Unit gradients of a level-set probe at points (N, 3)."""
-    grad = np.array([probe.gradient(x) for x in points])
+    """Unit gradients of a level-set probe at points (N, 3), one call."""
+    grad = _probe_eval(probe.gradient, _probe_points(points), (3,))
     return grad / np.linalg.norm(grad, axis=1, keepdims=True)
 
 
@@ -304,8 +306,8 @@ def _strategy_values(strategy, asm, densities):
     from the triangle.  The one-point centroid rules weigh each density
     by its centroid value, which is 1/len(densities) for both density
     sets (three hats, or the unit); CentroidStar moves the centroid onto
-    the surface by the probe (one Newton projection per pair) or else
-    onto the node's osculating quadratic.
+    the surface by the probe (one batched Newton projection per probed
+    mesh) or else onto the node's osculating quadratic.
     """
     rows, panels = asm.inc_node, asm.inc_panel
     if strategy is SingularStrategy.Zero:
@@ -320,8 +322,9 @@ def _strategy_values(strategy, asm, densities):
     if strategy is SingularStrategy.CentroidStar:
         meshes = asm.mesh_of_node(rows)
         probed = np.array([p is not None for p in asm.probes])[meshes]
-        for m in np.flatnonzero(probed):
-            y[m], _ = foot_point(asm.probes[meshes[m]], y[m])
+        for m in np.unique(meshes[probed]):
+            on = meshes == m
+            y[on], _ = foot_point(asm.probes[m], y[on])
         if not probed.all():
             kmat, basis = (f[rows[~probed]] for f in asm.forms)
             y[~probed] = _patch_projection(x[~probed], n[~probed], kmat,
@@ -383,11 +386,12 @@ def sphere_forms(mesh: SurfaceMesh, radius=None):
 
 
 def probe_forms(probe, points, normals):
-    """Per-node fundamental forms from an implicit-surface probe."""
-    return [fundamental_form_from_shape(shape_operator(probe, x),
-                                        rotation_to_z(n))
-            for x, n in zip(np.asarray(points, dtype=float),
-                            np.asarray(normals, dtype=float))]
+    """Per-node fundamental forms from an implicit-surface probe: one
+    shape-operator call for the points (N, 3), each form in the basis
+    rotation_to_z(normal)[:2]."""
+    shapes = shape_operator(probe, points)
+    return [fundamental_form_from_shape(s, rotation_to_z(n))
+            for s, n in zip(shapes, np.asarray(normals, dtype=float))]
 
 
 def identity_row_parts(mesh: SurfaceMesh, normals=None):
@@ -469,6 +473,10 @@ def single_layer_matrix(meshes):
 def _layer_values(asm, gamma, points, normals):
     """sum_panels int kernel * gamma dS per point (K with normals, else G);
     (N, D) for normals of shape (N, D, 3)."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {int(bad[0])} has a non-finite coordinate: "
+                         f"{points[bad[0]].tolist()}")
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (len(asm.nodes),):
         raise ValueError(f"gamma has shape {gamma.shape}, not one value per "
@@ -538,7 +546,7 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     count = min(n_samples, surf.n_triangles)
     sel = (np.arange(count) * surf.n_triangles) // count
     cents = surf.nodes[surf.triangles[sel]].mean(axis=1)
-    stars = np.array([foot_point(probe, c)[0] for c in cents])
+    stars, _ = foot_point(probe, cents)
     nstar = _probe_normals(probe, stars)
     grad = potential_gradient(meshes, gamma, stars)
     normal_flux = np.abs((grad * nstar).sum(1))

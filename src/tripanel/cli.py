@@ -90,10 +90,10 @@ def _write_csv(path, tag, header, rows, trailer=None):
 def _named_probe(name: str) -> SdfProbe:
     if name == "sphere":
         return sphere_probe(1.0)
-    if name == "plane":
-        return SdfProbe(lambda x: x[2],
-                        lambda x: np.array([0.0, 0.0, 1.0]),
-                        lambda x: np.zeros((3, 3)))
+    if name == "plane":  # z = 0, one point (3,) or many (..., 3)
+        return SdfProbe(lambda x: np.asarray(x, dtype=float)[..., 2],
+                        lambda x: np.zeros(np.shape(x)) + [0.0, 0.0, 1.0],
+                        lambda x: np.zeros(np.shape(x) + (3,)))
     if name.startswith("torus:"):
         parts = name.split(":")[1:]
         if len(parts) != 2:
@@ -315,7 +315,7 @@ def cmd_bem(args) -> int:
     pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
     ok = np.linalg.norm(pts, axis=1) <= 0.95
     if t_probe is not None:
-        ok &= np.array([t_probe.value(p) for p in pts]) >= 0.02
+        ok &= t_probe.value(pts) >= 0.02
     u = np.full(len(pts), math.nan)
     if ok.any():
         u[ok] = evaluate_potential(meshes, gamma, pts[ok])
@@ -400,7 +400,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sphere-subdivisions", type=int, default=2)
     p.add_argument("--torus", type=float, nargs=4,
                    metavar=("R", "r", "NU", "NV"))
-    p.add_argument("--sdf", help="probe for exact columns: sphere, torus:R:r")
+    p.add_argument("--sdf", help="probe for exact columns: sphere, plane, "
+                   "torus:R:r")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curvature)
 

@@ -9,7 +9,6 @@ has K = -I.  Meshes without a descriptor get K at every node at once
 least-squares quadratic fit of each node's rotated neighborhood.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,51 @@ from .geometry import rotation_to_z
 from .mesh_io import SurfaceMesh
 
 
+_XY = np.array([1.0, 1.0, 0.0])
+_EZ = np.array([0.0, 0.0, 1.0])
+
+
 @dataclass
 class SdfProbe:
-    """Level-set surface descriptor: F, grad F, hess F as callables of x."""
+    """Level-set surface descriptor: F, grad F, hess F as callables of x.
+
+    Each takes one point (3,) or many points (..., 3) and returns F of
+    shape (...), grad F (..., 3) and hess F (..., 3, 3).  A probe whose
+    callables take single points only still serves single-point calls.
+    """
     value: callable
     gradient: callable
     hessian: callable
+
+
+def _outer(u, v):
+    """Outer products of the last axes: (..., 3) x (..., 3) -> (..., 3, 3)."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def _probe_points(x) -> np.ndarray:
+    """x as floats of shape (3,) (one point) or (N, 3) (many)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError(f"points must have shape (3,) or (N, 3), not {x.shape}")
+    return x
+
+
+def _probe_eval(fn, x, tail) -> np.ndarray:
+    """fn(x) as floats of shape x.shape[:-1] + tail, for a probe callable
+    fn; ValueError when the probe returns another shape."""
+    out = np.asarray(fn(x), dtype=float)
+    want = x.shape[:-1] + tail
+    if out.shape != want:
+        raise ValueError(f"probe {getattr(fn, '__name__', 'callable')} returned "
+                         f"shape {out.shape} for points of shape {x.shape}, "
+                         f"not {want}")
+    return out
+
+
+def _point_name(x, i) -> str:
+    """' at point i' for a row of a batched call, '' for one point."""
+    return f" at point {int(i)}" if x.ndim == 2 else ""
 
 
 @dataclass
@@ -55,13 +93,15 @@ class FundamentalForm:
 
 
 def shape_operator(probe: SdfProbe, x) -> np.ndarray:
-    """S(x) = -hess F(x) / |grad F(x)|."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(probe.gradient(x), dtype=float)
-    glen = np.linalg.norm(g)
-    if glen <= 1e-12:
-        raise ValueError("vanishing gradient: surface descriptor is singular here")
-    return -np.asarray(probe.hessian(x), dtype=float) / glen
+    """S(x) = -hess F(x) / |grad F(x)| at one point (3,), a (3, 3), or at
+    points (N, 3), an (N, 3, 3) from one gradient and one Hessian call."""
+    x = _probe_points(x)
+    glen = np.linalg.norm(_probe_eval(probe.gradient, x, (3,)), axis=-1)
+    flat = np.flatnonzero(glen <= 1e-12)
+    if flat.size:
+        raise ValueError(f"vanishing gradient{_point_name(x, flat[0])}: surface "
+                         "descriptor is singular here")
+    return -_probe_eval(probe.hessian, x, (3, 3)) / glen[..., None, None]
 
 
 def fundamental_form_from_shape(shape: np.ndarray, rotation) -> FundamentalForm:
@@ -157,17 +197,18 @@ def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
     def value(x):
-        return np.linalg.norm(x - c) - radius
+        d = np.asarray(x, dtype=float) - c
+        return np.sqrt((d * d).sum(axis=-1)) - radius
 
     def gradient(x):
-        d = x - c
-        return d / np.linalg.norm(d)
+        d = np.asarray(x, dtype=float) - c
+        return d / np.sqrt((d * d).sum(axis=-1))[..., None]
 
     def hessian(x):
-        d = x - c
-        r = np.linalg.norm(d)
+        d = np.asarray(x, dtype=float) - c
+        r = np.sqrt((d * d).sum(axis=-1))[..., None]
         u = d / r
-        return (np.eye(3) - np.outer(u, u)) / r
+        return (np.eye(3) - _outer(u, u)) / r[..., None]
 
     return SdfProbe(value, gradient, hessian)
 
@@ -178,26 +219,27 @@ def torus_probe(major: float, minor: float) -> SdfProbe:
         raise ValueError("need 0 < minor < major")
 
     def parts(x):
-        rho = math.hypot(x[0], x[1])
-        q = np.array([rho - major, x[2]])
-        return rho, q, np.linalg.norm(q)
+        x = np.asarray(x, dtype=float)
+        rho = np.hypot(x[..., 0], x[..., 1])
+        q = rho - major
+        return x, rho, q, np.hypot(q, x[..., 2])
 
     def value(x):
-        return parts(x)[2] - minor
+        return parts(x)[3] - minor
 
     def gradient(x):
-        rho, q, m = parts(x)
-        grho = np.array([x[0] / rho, x[1] / rho, 0.0])
-        return (q[0] * grho + q[1] * np.array([0.0, 0.0, 1.0])) / m
+        # (q grad rho + z e_z) / m, grad rho = (x, y, 0) / rho
+        x, rho, q, m = parts(x)
+        g = x / m[..., None]
+        g[..., :2] *= (q / rho)[..., None]
+        return g
 
     def hessian(x):
-        rho, q, m = parts(x)
-        grho = np.array([x[0] / rho, x[1] / rho, 0.0])
-        ez = np.array([0.0, 0.0, 1.0])
-        hrho = np.zeros((3, 3))
-        hrho[:2, :2] = (np.eye(2) - np.outer(grho[:2], grho[:2])) / rho
-        gm = (q[0] * grho + q[1] * ez) / m
-        return (np.outer(grho, grho) + np.outer(ez, ez) + q[0] * hrho
-                - np.outer(gm, gm)) / m
+        x, rho, q, m = parts(x)
+        grho = x * _XY / rho[..., None]
+        g = (q[..., None] * grho + x[..., 2, None] * _EZ) / m[..., None]
+        hrho = (np.diag(_XY) - _outer(grho, grho)) / rho[..., None, None]
+        return (_outer(grho, grho) + _outer(_EZ, _EZ) + q[..., None, None] * hrho
+                - _outer(g, g)) / m[..., None, None]
 
     return SdfProbe(value, gradient, hessian)

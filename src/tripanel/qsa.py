@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .curvature import FundamentalForm
+from .curvature import FundamentalForm, _point_name, _probe_eval, _probe_points
 from .errors import ConvergenceFailure, DegenerateTriangle, DivergentIntegral
 from .geometry import Panel, _cross2, _project, rotation_to_z
 from .panel_integrals import FOUR_PI, PanelPolynomial, _densities, _k_integrals, _shaped
@@ -225,15 +225,42 @@ def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
 
 def foot_point(probe, x):
     """Project x onto the zero level set of an SdfProbe by Newton steps
-    along the gradient; returns (foot, signed height c of x along the
-    unit gradient at the foot)."""
-    x = np.asarray(x, dtype=float)
-    y = x.copy()
+    y <- y - F grad F / |grad F|^2 along the gradient.
+
+    x is one point (3,) or many (N, 3), projected together: each probe
+    callable is called once per step on the points still moving, and a
+    point leaves once |F| < 1e-12.  Returns (foot, signed height c of x
+    along the unit gradient at the foot): a (3,) and a float, or (N, 3)
+    and (N,).  A non-finite point raises ValueError; a point still off
+    the level set after 50 steps raises ConvergenceFailure; each names
+    the first such point of a batch.
+    """
+    x = _probe_points(x)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"non-finite coordinate{_point_name(x, bad[0])}: "
+                         f"{x.reshape(-1, 3)[bad[0]].tolist()}")
+    y = x.reshape(-1, 3).copy()
+
+    def call(fn, rows, tail):
+        pts = y[rows]
+        out = _probe_eval(fn, pts if x.ndim == 2 else pts[0], tail)
+        return out.reshape(len(pts), *tail)
+
+    live = np.arange(len(y))
     for _ in range(50):
-        f = probe.value(y)
-        if abs(f) < 1e-12:
-            g = np.asarray(probe.gradient(y), dtype=float)
-            return y, float((x - y) @ (g / np.linalg.norm(g)))
-        g = np.asarray(probe.gradient(y), dtype=float)
-        y = y - f * g / (g @ g)
-    raise ConvergenceFailure("projection onto the level set did not converge")
+        f = call(probe.value, live, ())
+        moving = ~(np.abs(f) < 1e-12)  # a NaN value keeps moving, and fails
+        live, f = live[moving], f[moving]
+        if not live.size:
+            break
+        g = call(probe.gradient, live, (3,))
+        y[live] = y[live] - f[:, None] * g / (g * g).sum(axis=1)[:, None]
+    else:
+        raise ConvergenceFailure(f"projection{_point_name(x, live[0])} onto the "
+                                 "level set did not converge")
+    g = call(probe.gradient, np.arange(len(y)), (3,))
+    c = ((x.reshape(-1, 3) - y) * g).sum(axis=1) / np.linalg.norm(g, axis=1)
+    if x.ndim == 1:
+        return y[0], float(c[0])
+    return y, c

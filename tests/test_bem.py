@@ -303,6 +303,28 @@ def test_layer_operators_reject_gamma_of_the_wrong_length(n_gamma):
             operator([mesh], np.ones(n_gamma), points)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_layer_operators_reject_non_finite_points_before_any_pair(bad, monkeypatch):
+    # one O(N) check where the points enter: no batch call is made, and
+    # the message names the first bad point
+    batch_calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            batch_calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("g_panel_entries", "k_panel_entries"):
+        monkeypatch.setattr(bem, name, counted(getattr(bem, name)))
+    mesh = generate_sphere_mesh(1)
+    points = np.array([[0.0, 0.0, 0.3], [0.1, bad, 0.0], [bad, 0.0, 0.0]])
+    for operator in (evaluate_potential, potential_gradient):
+        with pytest.raises(ValueError, match=r"point 1 has a non-finite coordinate"):
+            operator([mesh], np.ones(mesh.n_nodes), points)
+    assert batch_calls == []
+
+
 def test_assemble_rejects_non_finite_neumann_data():
     mesh = generate_sphere_mesh(1)
     with pytest.raises(ValueError, match="neumann_bc is non-finite at node 0"):

@@ -233,6 +233,18 @@ def test_curvature_command_sphere(capsys, tmp_path):
         assert float(r[8]) < 0.5
 
 
+def test_curvature_command_plane_forms_are_zero(capsys, tmp_path):
+    # the plane probe serves the batched shape-operator call: its exact
+    # principal curvatures are exactly zero at every node
+    out = tmp_path / "k.csv"
+    code, _, _ = run(["curvature", "--sphere-subdivisions", "1",
+                      "--sdf", "plane", "--out", str(out)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 42
+    assert all(float(r[6]) == 0.0 and float(r[7]) == 0.0 for r in rows)
+
+
 def test_bem_command_sphere_smoke(capsys, tmp_path):
     js, csv = tmp_path / "u.json", tmp_path / "u.csv"
     code, text, _ = run(["bem", "--sphere-subdivisions", "1", "--grid", "9",
