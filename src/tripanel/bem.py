@@ -61,14 +61,14 @@ from .curvature import (
     FundamentalForm,
     _probe_eval,
     _probe_points,
+    _restricted,
     estimate_fundamental_forms,
     estimate_normals,
-    fundamental_form_from_shape,
     shape_operator,
     torus_probe,
 )
 from .errors import ConvergenceFailure, DivergentIntegral, MeshError
-from .geometry import Panel, Target, rotation_to_z
+from .geometry import Panel, Target
 from .mesh_io import (SurfaceMesh, generate_torus_mesh, golden_spiral,
                       require_closed_outward)
 from .panel_integrals import (
@@ -153,24 +153,26 @@ def _as_mesh_list(meshes):
     return list(meshes)
 
 
+def _require_finite(rows, what):
+    """MeshError naming the first node whose row (N, ...) is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows.reshape(len(rows), -1)).all(axis=1))
+    if bad.size:
+        raise MeshError(f"node {int(bad[0])} has a non-finite {what}")
+
+
 class _Assembly:
     """Concatenated node/panel tables shared by the operators, and the one
-    rule for the node normals and forms (per-mesh lists, or None)."""
+    rule for the node normals and forms (per-mesh entries, or None)."""
 
     def __init__(self, meshes, normals=None, forms=None, probes=None):
         self.meshes = _as_mesh_list(meshes)
         self._given_normals, self._given_forms, self.probes = (
             got or [None] * len(self.meshes) for got in (normals, forms, probes))
-        offs, nodes, tris = [], [], []
-        at = 0
-        for mesh in self.meshes:
-            offs.append(at)
-            nodes.append(mesh.nodes)
-            tris.append(mesh.triangles + at)
-            at += len(mesh.nodes)
-        self.offsets = tuple(offs)
-        self.nodes = np.concatenate(nodes)
-        self.tris = np.concatenate(tris)
+        sizes = [len(mesh.nodes) for mesh in self.meshes]
+        self.offsets = tuple(np.cumsum([0] + sizes[:-1]).tolist())
+        self.nodes = np.concatenate([mesh.nodes for mesh in self.meshes])
+        self.tris = np.concatenate([mesh.triangles + at
+                                    for mesh, at in zip(self.meshes, self.offsets)])
         self.verts = self.nodes[self.tris]
         self.areas = 0.5 * np.linalg.norm(
             np.cross(self.verts[:, 1] - self.verts[:, 0],
@@ -193,35 +195,44 @@ class _Assembly:
         the probe's unit gradient, else the angle-weighted estimate.  Only
         the K operators read them."""
         out = []
-        for mesh, got, probe in zip(self.meshes, self._given_normals,
-                                    self.probes):
+        for m, (mesh, got, probe) in enumerate(zip(
+                self.meshes, self._given_normals, self.probes)):
             if got is None:
                 got = mesh.node_normals
             if got is None and probe is not None:
                 got = _probe_normals(probe, mesh.nodes)
-            out.append(estimate_normals(mesh) if got is None
-                       else np.asarray(got, dtype=float))
+            got = estimate_normals(mesh) if got is None else np.asarray(got, dtype=float)
+            if got.shape != mesh.nodes.shape:
+                raise MeshError(f"mesh {m} has {mesh.n_nodes} nodes but "
+                                f"normals of shape {got.shape}")
+            out.append(got)
         normals = np.concatenate(out)
+        _require_finite(normals, "normal")
         if np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() > 1e-12:
             raise MeshError("node normals must be unit vectors")
         return normals
 
     @cached_property
     def forms(self):
-        """Second fundamental forms at the nodes, matrices (N, 2, 2) and
-        tangent bases (N, 2, 3): the caller's, else the probe's at the
-        node normals, else the per-node fit at them."""
+        """Second fundamental forms at the nodes, one stacked form: the
+        caller's, else the probe's at the node normals, else the fit."""
         picked = []
-        for mesh, got, probe, nrm in zip(
+        for m, (mesh, got, probe, nrm) in enumerate(zip(
                 self.meshes, self._given_forms, self.probes,
-                np.split(self.normals, self.offsets[1:])):
+                np.split(self.normals, self.offsets[1:]))):
             if got is None:
                 got = (estimate_fundamental_forms(mesh, nrm) if probe is None
                        else probe_forms(probe, mesh.nodes, nrm))
-            picked += got
-        kmat = np.array([[f.k11, f.k12, f.k12, f.k22] for f in picked])
-        basis = np.array([f.basis for f in picked], dtype=float)
-        return kmat.reshape(-1, 2, 2), basis.reshape(-1, 2, 3)
+            entries = (got.k11, got.k12, got.k22, got.basis)
+            if [np.shape(a) for a in entries] != [(mesh.n_nodes,)] * 3 \
+                    + [(mesh.n_nodes, 2, 3)]:
+                raise MeshError(f"mesh {m} has {mesh.n_nodes} nodes but "
+                                f"forms of shape {np.shape(got.basis)[:-2]}")
+            picked.append(entries)
+        k11, k12, k22, basis = (np.concatenate(a) for a in zip(*picked))
+        _require_finite(np.column_stack([k11, k12, k22, basis.reshape(-1, 6)]),
+                        "fundamental form")
+        return FundamentalForm(k11, k12, k22, basis)
 
     def mesh_of_node(self, i):
         """Index of the mesh holding node(s) i."""
@@ -234,11 +245,11 @@ def _probe_normals(probe, points):
     return grad / np.linalg.norm(grad, axis=1, keepdims=True)
 
 
-def _patch_projection(x, normal, kmat, basis, centroid):
+def _patch_projection(x, normal, form, centroid):
     """Project panel centroids onto the nodes' osculating quadratics."""
-    s = np.einsum("rbk,rk->rb", basis, centroid - x)
-    height = 0.5 * np.einsum("ra,rab,rb->r", s, kmat, s)
-    return x + np.einsum("rb,rbk->rk", s, basis) + height[:, None] * normal
+    s = np.einsum("rbk,rk->rb", form.basis, centroid - x)
+    height = 0.5 * np.einsum("ra,rab,rb->r", s, form.matrix, s)
+    return x + np.einsum("rb,rbk->rk", s, form.basis) + height[:, None] * normal
 
 
 def _pair_blocks(asm, points, normals, densities, on_nodes=False):
@@ -315,9 +326,8 @@ def _strategy_values(strategy, asm, densities):
     x = asm.nodes[rows]
     n = asm.normals[rows]
     if strategy is SingularStrategy.QSA:
-        kmat, basis = asm.forms
         return qsa_vertex_rows(asm.verts[panels], asm.inc_slot, x, n,
-                               kmat[rows], basis[rows], densities)
+                               asm.forms[rows], densities)
     y = asm.centroids[panels]
     if strategy is SingularStrategy.CentroidStar:
         meshes = asm.mesh_of_node(rows)
@@ -326,9 +336,8 @@ def _strategy_values(strategy, asm, densities):
             on = meshes == m
             y[on], _ = foot_point(asm.probes[m], y[on])
         if not probed.all():
-            kmat, basis = (f[rows[~probed]] for f in asm.forms)
-            y[~probed] = _patch_projection(x[~probed], n[~probed], kmat,
-                                           basis, y[~probed])
+            y[~probed] = _patch_projection(x[~probed], n[~probed],
+                                           asm.forms[rows[~probed]], y[~probed])
     k = kernel_k(x, n, y) * asm.areas[panels] / len(densities)
     return np.repeat(k[:, None], len(densities), axis=1)
 
@@ -347,10 +356,11 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
     (jump -1/2, Neumann data `neumann_bc`), later ones are enclosed
     insulating interfaces (+1/2 jump, zero flux).  forms/normals/probes
     are per-mesh lists: normals default to the mesh's stored ones, else
-    the probe's unit gradient, else the angle-weighted estimate, and must
-    be unit vectors (else MeshError); forms to the probe's at those
-    normals, else the per-node fit.  Incident panels route through
-    `strategy`; a node on any other panel raises MeshError.
+    the probe's unit gradient, else the angle-weighted estimate; forms
+    (stacked) to the probe's at those normals, else the fit.  Each must be
+    finite, one per node, the normals unit (else MeshError).  Incident
+    panels route through `strategy`; a node on any other panel raises
+    MeshError.
     """
     asm = _Assembly(meshes, normals, forms, probes)
     for mesh in asm.meshes:
@@ -375,23 +385,22 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
 
 
 def sphere_forms(mesh: SurfaceMesh, radius=None):
-    """Analytic fundamental forms of a centered sphere mesh (-1/R times I)."""
+    """Analytic fundamental forms of a centered sphere mesh (-1/R times I),
+    one stacked form."""
     r = float(np.mean(np.linalg.norm(mesh.nodes, axis=1))) if radius is None \
         else float(radius)
     n = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
-    t1, t2 = tangent_frames(n)
-    return [FundamentalForm(-1.0 / r, 0.0, -1.0 / r,
-                            np.vstack([t1[i], t2[i]]))
-            for i in range(len(mesh.nodes))]
+    k = np.full(len(n), -1.0 / r)
+    return FundamentalForm(k, np.zeros_like(k), k.copy(),
+                           np.stack(tangent_frames(n), axis=1))
 
 
 def probe_forms(probe, points, normals):
-    """Per-node fundamental forms from an implicit-surface probe: one
-    shape-operator call for the points (N, 3), each form in the basis
-    rotation_to_z(normal)[:2]."""
-    shapes = shape_operator(probe, points)
-    return [fundamental_form_from_shape(s, rotation_to_z(n))
-            for s, n in zip(shapes, np.asarray(normals, dtype=float))]
+    """Stacked fundamental forms at points (N, 3) from an implicit-surface
+    probe: one shape-operator call, restricted to the normals' tangent bases."""
+    basis = np.stack(tangent_frames(np.asarray(normals, dtype=float)), axis=1)
+    return _restricted(basis @ shape_operator(probe, points)
+                       @ basis.transpose(0, 2, 1), basis)
 
 
 def identity_row_parts(mesh: SurfaceMesh, normals=None):
@@ -420,7 +429,7 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
     is +1/2 (half the solid angle seen from the surface).  Returns
     (max_error, per_node_errors).  `parts` accepts the output of
     identity_row_parts to share the strategy-independent work.  The forms
-    default to the per-node fit at the normals, as `assemble`'s do.
+    default to the fit at the normals, as `assemble`'s do.
     """
     if parts is None:
         parts = identity_row_parts(mesh, normals)

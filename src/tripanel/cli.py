@@ -19,6 +19,7 @@ import numpy as np
 from .bem import (
     Regularization,
     SingularStrategy,
+    _probe_normals,
     cos_phi,
     evaluate_potential,
     export_solution,
@@ -36,7 +37,6 @@ from .curvature import (
     FundamentalForm,
     SdfProbe,
     estimate_fundamental_forms,
-    estimate_normals,
     sphere_probe,
     torus_probe,
 )
@@ -132,8 +132,7 @@ def cmd_tri_integrate(args) -> int:
         if abs(offset) > 1e-8 * panel.diameter:
             raise ValueError(f"--target is {offset:.3e} off the {args.sdf} "
                              f"surface; --method qsa needs a target on it")
-        grad = probe.gradient(x)
-        n_surf = grad / np.linalg.norm(grad)
+        n_surf = _probe_normals(probe, x[None])[0]
         if n is not None and np.linalg.norm(target.n - n_surf) > 1e-8:
             raise ValueError(f"--normal is not the {args.sdf} surface's unit "
                              f"normal at the target, {n_surf.tolist()}")
@@ -258,22 +257,19 @@ def cmd_curvature(args) -> int:
         mesh = generate_torus_mesh(major, minor, int(n_u), int(n_v))
     else:
         mesh = generate_sphere_mesh(args.sphere_subdivisions)
-    normals = estimate_normals(mesh)
-    forms = estimate_fundamental_forms(mesh, normals)
-    probe = _named_probe(args.sdf) if args.sdf else None
-    exact = probe_forms(probe, mesh.nodes, normals) if probe else None
+    # the fit at estimated normals; the exact forms at the probe's
+    k_est = np.sort(estimate_fundamental_forms(mesh).principal_curvatures(),
+                    axis=1)
+    columns = [mesh.nodes, k_est]
     header = ["node", "x", "y", "z", "k1_est", "k2_est"]
-    if exact:
+    if args.sdf:
+        probe = _named_probe(args.sdf)
+        k_ex = np.sort(probe_forms(probe, mesh.nodes, _probe_normals(
+            probe, mesh.nodes)).principal_curvatures(), axis=1)
+        columns += [k_ex, np.abs(k_est - k_ex).max(axis=1, keepdims=True)]
         header += ["k1_exact", "k2_exact", "max_abs_err"]
-    rows = []
-    for i in range(mesh.n_nodes):
-        k_est = np.sort(forms[i].principal_curvatures())
-        row = [i, *map(float, mesh.nodes[i]), float(k_est[0]), float(k_est[1])]
-        if exact:
-            k_ex = np.sort(exact[i].principal_curvatures())
-            row += [float(k_ex[0]), float(k_ex[1]),
-                    float(np.abs(k_est - k_ex).max())]
-        rows.append(tuple(row))
+    rows = [(i, *map(float, row))
+            for i, row in enumerate(np.concatenate(columns, axis=1))]
     _write_csv(args.out, "curvature", header, rows)
     print(f"wrote {args.out}: {mesh.n_nodes} nodes")
     return 0

@@ -3,18 +3,19 @@
 A surface's shape operator at x is S(x) = -hess F / |grad F| for a
 (pseudo) signed-distance descriptor F; restricted to an in-plane basis it
 gives the second fundamental form K_ij, the Hessian of the surface's
-tangent-plane graph.  With the outward normal rotated to +z a unit sphere
-has K = -I.  Meshes without a descriptor get K at every node at once
+tangent-plane graph; a unit sphere has K = -I.  Every producer of node
+forms returns one FundamentalForm stacked over the N nodes, its bases the
+tangent frames of the node normals.  Meshes without a descriptor get K
 (estimate_fundamental_forms) from an angle-weighted normal estimate and a
-least-squares quadratic fit of each node's rotated neighborhood.
+least-squares quadratic fit of each node's neighborhood in its frame.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import tangent_frames
 from .errors import MeshError
-from .geometry import rotation_to_z
 from .mesh_io import SurfaceMesh
 
 
@@ -70,26 +71,39 @@ class FundamentalForm:
     """Second fundamental form in an explicit in-plane basis.
 
     basis rows are the two world-space unit vectors spanning the tangent
-    plane; k11, k12, k22 are the form's entries in that basis.
+    plane; k11, k12, k22 are the form's entries in that basis: floats and
+    (2, 3) at one node, or stacked over nodes, (...) and (..., 2, 3), with
+    form[rows] taking rows.  The methods broadcast over the leading axes.
     """
-    k11: float
-    k12: float
-    k22: float
-    basis: np.ndarray  # (2, 3)
+    k11: float | np.ndarray
+    k12: float | np.ndarray
+    k22: float | np.ndarray
+    basis: np.ndarray  # (..., 2, 3)
+
+    def __getitem__(self, rows) -> "FundamentalForm":
+        return FundamentalForm(*(np.asarray(a)[rows] for a in (
+            self.k11, self.k12, self.k22, self.basis)))
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.k11, self.k12], [self.k12, self.k22]])
+        k = np.array([[self.k11, self.k12], [self.k12, self.k22]])
+        # stacked entries give (2, 2, ...): move the matrix axes last
+        return k if k.ndim == 2 else k.transpose((*range(2, k.ndim), 0, 1)).copy()
 
     def principal_curvatures(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
     def express_in(self, new_basis) -> "FundamentalForm":
-        """The same form in another basis of the same tangent plane."""
+        """The same form in other bases of the same tangent planes."""
         new_basis = np.asarray(new_basis, dtype=float)
-        m = new_basis @ np.asarray(self.basis).T
-        k = m @ self.matrix @ m.T
-        return FundamentalForm(k[0, 0], 0.5 * (k[0, 1] + k[1, 0]), k[1, 1], new_basis)
+        m = new_basis @ np.asarray(self.basis).swapaxes(-1, -2)
+        return _restricted(m @ self.matrix @ m.swapaxes(-1, -2), new_basis)
+
+
+def _restricted(k, basis) -> FundamentalForm:
+    """The form of restrictions k (..., 2, 2) to bases (..., 2, 3), symmetrized."""
+    return FundamentalForm(k[..., 0, 0], 0.5 * (k[..., 0, 1] + k[..., 1, 0]),
+                           k[..., 1, 1], basis)
 
 
 def shape_operator(probe: SdfProbe, x) -> np.ndarray:
@@ -102,18 +116,6 @@ def shape_operator(probe: SdfProbe, x) -> np.ndarray:
         raise ValueError(f"vanishing gradient{_point_name(x, flat[0])}: surface "
                          "descriptor is singular here")
     return -_probe_eval(probe.hessian, x, (3, 3)) / glen[..., None, None]
-
-
-def fundamental_form_from_shape(shape: np.ndarray, rotation) -> FundamentalForm:
-    """Restrict a 3x3 shape operator to the in-plane basis of a rotation
-    that maps the surface normal onto +z (a normalized frame's rotation).
-
-    K_ij = (R^T e_i) . S . (R^T e_j).
-    """
-    rot = np.asarray(rotation, dtype=float)
-    basis = rot[:2]  # rows: world vectors mapped to the frame's x and y axes
-    k = basis @ np.asarray(shape, dtype=float) @ basis.T
-    return FundamentalForm(k[0, 0], 0.5 * (k[0, 1] + k[1, 0]), k[1, 1], basis.copy())
 
 
 def estimate_normals(mesh: SurfaceMesh) -> np.ndarray:
@@ -145,9 +147,9 @@ def _adjacency(mesh: SurfaceMesh) -> list:
     return adj
 
 
-def _fit_form(mesh, node, normal, neighbors) -> FundamentalForm:
-    rot = rotation_to_z(normal)
-    q = (mesh.nodes[list(neighbors)] - mesh.nodes[node]) @ rot.T
+def _fit_entries(mesh, node, frame, neighbors) -> tuple:
+    """(k11, k12, k22) of the fit at one node in its frame (rows t1, t2, n)."""
+    q = (mesh.nodes[list(neighbors)] - mesh.nodes[node]) @ frame.T
     s1, s2, h = q[:, 0], q[:, 1], q[:, 2]
     a = np.column_stack([s1 * s1, s2 * s2, s1 * s2, s1, s2])
     if len(a) < 5:
@@ -156,15 +158,13 @@ def _fit_form(mesh, node, normal, neighbors) -> FundamentalForm:
     if (scale <= 1e-300).any():
         raise MeshError(f"node {node}: rank-deficient neighborhood (collinear projection)")
     a_s = a / scale
-    gram = a_s.T @ a_s
     try:
-        coef = np.linalg.solve(gram, a_s.T @ h) / scale
+        coef = np.linalg.solve(a_s.T @ a_s, a_s.T @ h) / scale
     except np.linalg.LinAlgError as exc:
         raise MeshError(f"node {node}: rank-deficient neighborhood") from exc
     if not np.all(np.isfinite(coef)):
         raise MeshError(f"node {node}: quadratic fit did not converge")
-    ca, cb, cc = coef[0], coef[1], coef[2]  # d, e (linear terms) are discarded
-    return FundamentalForm(2.0 * ca, cc, 2.0 * cb, rot[:2].copy())
+    return 2.0 * coef[0], coef[2], 2.0 * coef[1]  # d, e (linear terms) are discarded
 
 
 def _ring(adj, node):
@@ -176,18 +176,20 @@ def _ring(adj, node):
     return sorted(neighbors)
 
 
-def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> list:
-    """Least-squares second fundamental form at every mesh node.
-
-    Rotates each node's normal to +z, fits h = a s1^2 + b s2^2 + c s1 s2
-    + d s1 + e s2 to its 1-ring (the 2-ring when the 1-ring has fewer than
-    8 nodes) and returns [[2a, c], [c, 2b]] with the basis used.
+def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> FundamentalForm:
+    """Least-squares second fundamental forms at the mesh nodes, stacked:
+    in each node's frame (its batch.tangent_frames basis and its normal)
+    fits h = a s1^2 + b s2^2 + c s1 s2 + d s1 + e s2 to its 1-ring (the
+    2-ring when the 1-ring has fewer than 8 nodes); K = [[2a, c], [c, 2b]].
     """
-    if node_normals is None:
-        node_normals = estimate_normals(mesh)
+    normals = estimate_normals(mesh) if node_normals is None \
+        else np.asarray(node_normals, dtype=float)
+    basis = np.stack(tangent_frames(normals), axis=1)
+    frames = np.concatenate([basis, normals[:, None]], axis=1)
     adj = _adjacency(mesh)
-    return [_fit_form(mesh, n, node_normals[n], _ring(adj, n))
-            for n in range(mesh.n_nodes)]
+    k = np.array([_fit_entries(mesh, n, frames[n], _ring(adj, n))
+                  for n in range(mesh.n_nodes)]).reshape(-1, 3)
+    return FundamentalForm(k[:, 0], k[:, 1], k[:, 2], basis)
 
 
 def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:

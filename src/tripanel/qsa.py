@@ -8,13 +8,14 @@ surface locally by its osculating quadratic graph f = 1/2 sum K_ij s_i s_j
 numerator and leaves integrals that are closed-form over the projected
 triangle, with O(eps^2) error in the patch radius eps.
 
-Three entry points: the general on-surface case (polar decomposition of
-the projected triangle), the single-segment path for targets at a panel
+Three paths: the general on-surface case (polar decomposition of the
+projected triangle), the single-segment path for targets at a panel
 vertex, and the off-surface case with the target at signed height c above
-the foot point.  The vertex path is written once, on arrays
-(`qsa_vertex_rows`): the BEM operators evaluate every incident pair in one
-call, and `qsa_vertex` and the vertex branch of `qsa_on_boundary` are
-one-row calls of it.  foot_point gives the foot and c from a level-set probe.
+the foot point (private: no operator uses it yet).  The vertex path is
+written once, on arrays (`qsa_vertex_rows`): the BEM operators evaluate
+every incident pair in one call, and `qsa_vertex` and the vertex branch of
+`qsa_on_boundary` are one-row calls of it.  foot_point gives the foot and
+c from a level-set probe.
 """
 
 import math
@@ -58,31 +59,20 @@ def qsa_on_boundary(panel: Panel, target, form: FundamentalForm,
     verts = panel.verts
     x = np.asarray(target.x, dtype=float)
     if use_vertex_path:
-        first = target_vertex(verts[None], x[None])
-        if first[0] >= 0:
-            out = qsa_vertex_rows(verts[None], first, x[None],
+        # the target sits on a vertex within 1e-12 times the panel diameter
+        dist2 = ((verts - x) ** 2).sum(axis=1)
+        first = dist2.argmin()
+        diam2 = ((verts - verts[_NEXT]) ** 2).sum(axis=1).max()
+        if dist2[first] <= _VERTEX_TOL ** 2 * diam2:
+            out = qsa_vertex_rows(verts[None], first[None], x[None],
                                   np.asarray(target.n, dtype=float)[None],
-                                  form.matrix[None],
-                                  np.asarray(form.basis, dtype=float)[None], densities)
+                                  form[None], densities)
             return _shaped(out[0], many)
     rot = rotation_to_z(np.asarray(target.n, dtype=float))
     proj = _project(verts.tolist(), x.tolist(), rot.tolist())
     kmat = form.express_in(rot[:2]).matrix
     return _shaped(_k_integrals(proj, 0.0, _ON_SURFACE_NU, densities, kmat,
                                 min_degree=2), many)
-
-
-def target_vertex(verts, x):
-    """Index of the panel vertex each target sits on, else -1.
-
-    verts (R, 3, 3), x (R, 3); a target sits on a vertex within
-    1e-12 times the panel diameter.
-    """
-    dist2 = ((verts - x[:, None, :]) ** 2).sum(axis=2)
-    diam2 = ((verts - verts[:, _NEXT]) ** 2).sum(axis=2).max(axis=1)
-    first = dist2.argmin(axis=1)
-    near = dist2[np.arange(len(first)), first] <= _VERTEX_TOL ** 2 * diam2
-    return np.where(near, first, -1)
 
 
 def _angular_primitives(theta, theta2):
@@ -110,13 +100,13 @@ def _angular_primitives(theta, theta2):
     }
 
 
-def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
+def qsa_vertex_rows(verts, first, x, n, form, densities):
     """On-surface integrals of K(x, y) h(y) with each target at a panel
     vertex, for many rows in one pass.
 
     Row r: the target x[r] with unit normal n[r] sits at vertex first[r]
-    of the panel verts[r] (3, 3); kmat[r] (2, 2) is the second
-    fundamental form at x[r] in the tangent basis basis[r] (2, 3).  The
+    of the panel verts[r] (3, 3); form[r] is the second fundamental form
+    at x[r], form a stacked FundamentalForm with one row per target.  The
     densities are PanelPolynomials of degree <= 1 in the panel's vertex
     order.  Returns (R, len(densities)).
 
@@ -154,7 +144,7 @@ def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
         out = np.zeros((len(verts), len(densities)))
         if live.any():
             out[live] = qsa_vertex_rows(verts[live], first[live], x[live], n[live],
-                                        kmat[live], basis[live], densities)
+                                        form[live], densities)
         return out
     edge = q3 - q2
     theta2 = np.arctan2(np.abs(_cross2(q2, edge)), -np.einsum("rb,rb->r", q2, edge))
@@ -169,9 +159,8 @@ def qsa_vertex_rows(verts, first, x, n, kmat, basis, densities):
     cp = np.einsum("rai,dij,rj->rda", lam, forms, lam[:, 2])
     p00, p10, p01 = cp[..., 2], slope * cp[..., 0], slope * cp[..., 1]
     # the form in the spun basis
-    m = basis @ spun
-    km = m.transpose(0, 2, 1) @ kmat @ m
-    k11, k12, k22 = km[:, 0, 0], 0.5 * (km[:, 0, 1] + km[:, 1, 0]), km[:, 1, 1]
+    spun_form = form.express_in(spun.transpose(0, 2, 1))
+    k11, k12, k22 = spun_form.k11, spun_form.k12, spun_form.k22
     # primitives at theta_end and at 0, as one flat array
     ends = _angular_primitives(np.concatenate([theta_end, 0.0 * theta_end]),
                                np.concatenate([theta2, theta2]))
@@ -199,8 +188,8 @@ def qsa_vertex(panel: Panel, target, form: FundamentalForm,
     return qsa_on_boundary(panel, target, form, p)
 
 
-def qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
-                     p=None):
+def _qsa_off_boundary(panel: Panel, target, form: FundamentalForm, c: float,
+                      p=None):
     """Integral of K(x, y) p(y) over the curved patch for an off-surface x.
 
     form is the second fundamental form at the foot of x on the surface,

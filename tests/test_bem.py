@@ -29,6 +29,7 @@ from tripanel.bem import (
     x1_flux,
 )
 from tripanel.curvature import (
+    SdfProbe,
     estimate_fundamental_forms,
     estimate_normals,
     sphere_probe,
@@ -142,6 +143,57 @@ def test_non_unit_normals_raise():
             assemble([mesh], strategy, [forms], normals=[scaled])
     with pytest.raises(MeshError, match="unit"):
         identity_row_parts(mesh, scaled)
+
+
+def test_forms_and_normals_of_the_wrong_node_count_raise():
+    # ico-1 has 42 nodes; a stacked form or normal array of another length
+    # would index, or shift onto the next mesh's nodes, silently
+    mesh = generate_sphere_mesh(1)
+    normals, forms = unit_normals(mesh), sphere_forms(mesh)
+    for rows in (np.r_[0:42, 0:3], np.arange(40)):
+        with pytest.raises(MeshError, match=rf"mesh 0 has 42 nodes but forms "
+                                            rf"of shape \({len(rows)},\)"):
+            assemble([mesh], SingularStrategy.QSA, [forms[rows]], normals=[normals])
+        with pytest.raises(MeshError, match=rf"mesh 0 has 42 nodes but normals "
+                                            rf"of shape \({len(rows)}, 3\)"):
+            assemble([mesh], SingularStrategy.Zero, normals=[normals[rows]])
+    # the sphere's forms two too long and the torus's two too short: the
+    # total is right, but every torus node would read a shifted form
+    torus = generate_torus_mesh(0.4, 0.2, 8, 4)
+    t_forms = probe_forms(torus_probe(0.4, 0.2), torus.nodes, torus.node_normals)
+    t_rows = np.arange(torus.n_nodes - 2)
+    with pytest.raises(MeshError, match=r"mesh 0 has 42 nodes but forms of shape \(44,\)"):
+        assemble([mesh, torus], SingularStrategy.QSA,
+                 [forms[np.r_[0:42, 0:2]], t_forms[t_rows]],
+                 normals=[normals, torus.node_normals])
+    with pytest.raises(MeshError, match=r"mesh 1 has 32 nodes but forms of shape \(30,\)"):
+        assemble([mesh, torus], SingularStrategy.QSA, [forms, t_forms[t_rows]],
+                 normals=[normals, torus.node_normals])
+
+
+def test_non_finite_forms_and_normals_raise():
+    mesh = generate_sphere_mesh(1)
+    normals, forms = unit_normals(mesh), sphere_forms(mesh)
+    forms.k11[5] = np.nan
+    with pytest.raises(MeshError, match="node 5 has a non-finite fundamental form"):
+        assemble([mesh], SingularStrategy.QSA, [forms], normals=[normals])
+    normals[7, 2] = np.nan
+    for strategy in (SingularStrategy.Zero, SingularStrategy.QSA):
+        with pytest.raises(MeshError, match="node 7 has a non-finite normal"):
+            assemble([mesh], strategy, normals=[normals])
+    with pytest.raises(MeshError, match="node 7 has a non-finite normal"):
+        identity_row_parts(mesh, normals)
+    # a probe whose Hessian is NaN at one node gives a NaN form there
+    probe = sphere_probe(1.0)
+
+    def hessian(x):
+        h = probe.hessian(x)
+        h[np.isclose(x, mesh.nodes[11]).all(axis=-1)] = np.nan
+        return h
+
+    nan_probe = SdfProbe(probe.value, probe.gradient, hessian)
+    with pytest.raises(MeshError, match="node 11 has a non-finite fundamental form"):
+        assemble([mesh], SingularStrategy.QSA, probes=[nan_probe])
 
 
 def test_solve_residual_and_gauge_agreement():

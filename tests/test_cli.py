@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from tripanel.cli import main
-from tripanel.curvature import FundamentalForm
+from tripanel.curvature import FundamentalForm, estimate_fundamental_forms
 from tripanel.geometry import Panel, Target, rotation_to_z
-from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, load_mesh, save_mesh
+from tripanel.mesh_io import (SurfaceMesh, generate_sphere_mesh, generate_torus_mesh,
+                              load_mesh, save_mesh)
 from tripanel.qsa import qsa_on_boundary
 
 TRI = ["--verts", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
@@ -231,6 +232,26 @@ def test_curvature_command_sphere(capsys, tmp_path):
         assert float(r[6]) == pytest.approx(-1.0)
         assert float(r[7]) == pytest.approx(-1.0)
         assert float(r[8]) < 0.5
+
+
+def test_curvature_command_exact_columns_take_the_probe_normals(capsys, tmp_path):
+    # at the probe's normals the exact columns are the torus's principal
+    # curvatures -1/r and -cos(v)/rho to rounding; at the estimated normals
+    # (tilted up to a few degrees on a 12 x 6 torus) they would not be
+    out = tmp_path / "k.csv"
+    code, _, _ = run(["curvature", "--torus", "0.4", "0.2", "12", "6",
+                      "--sdf", "torus:0.4:0.2", "--out", str(out)], capsys)
+    assert code == 0
+    rows = np.array([line.split(",") for line in out.read_text().splitlines()[2:]],
+                    dtype=float)
+    rho = np.hypot(rows[:, 1], rows[:, 2])
+    want = np.sort(np.column_stack([np.full(len(rho), -1.0 / 0.2),
+                                    -(rho - 0.4) / (0.2 * rho)]), axis=1)
+    assert np.abs(rows[:, 6:8] - want).max() <= 1e-13
+    est = np.sort(estimate_fundamental_forms(generate_torus_mesh(0.4, 0.2, 12, 6))
+                  .principal_curvatures(), axis=1)
+    assert np.array_equal(rows[:, 4:6], est)
+    assert np.array_equal(rows[:, 8], np.abs(est - rows[:, 6:8]).max(axis=1))
 
 
 def test_curvature_command_plane_forms_are_zero(capsys, tmp_path):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from tripanel import curvature
+from tripanel.bem import _probe_normals, probe_forms, sphere_forms
 from tripanel.curvature import (
     FundamentalForm,
     SdfProbe,
     estimate_fundamental_forms,
     estimate_normals,
-    fundamental_form_from_shape,
     shape_operator,
     sphere_probe,
     torus_probe,
@@ -112,40 +113,38 @@ def test_fundamental_form_sphere_pole():
     panel = Panel(np.array([0.01, 0.0, 1.0]),
                   np.array([-0.005, 0.008, 1.0]),
                   np.array([-0.005, -0.008, 1.0]))
-    s = shape_operator(sphere_probe(), np.array([0.0, 0.0, 1.0]))
-    form = fundamental_form_from_shape(s, rotation_to_z(panel.normal))
+    form = probe_forms(sphere_probe(), np.array([[0.0, 0.0, 1.0]]),
+                       panel.normal[None])
     assert np.allclose(form.matrix, -np.eye(2), atol=1e-12)
 
 
 def test_fundamental_form_plane_and_cylinder():
     # plane
     n = np.array([0.0, 0.0, 1.0])
-    probe = SdfProbe(lambda x: x[2], lambda x: n.copy(), lambda x: np.zeros((3, 3)))
+    probe = SdfProbe(lambda x: x[..., 2], lambda x: np.zeros(np.shape(x)) + n,
+                     lambda x: np.zeros(np.shape(x) + (3,)))
     panel = Panel(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([-1.0, -1.0, 0.0]))
-    form = fundamental_form_from_shape(shape_operator(probe, np.zeros(3)),
-                                       rotation_to_z(panel.normal))
+    form = probe_forms(probe, np.zeros((1, 3)), panel.normal[None])
     assert np.allclose(form.matrix, 0.0)
 
     # cylinder of radius a about the z axis, evaluated at (a, 0, 0)
     a = 0.7
 
     def cyl_grad(x):
-        rho = math.hypot(x[0], x[1])
-        return np.array([x[0] / rho, x[1] / rho, 0.0])
+        rho = np.hypot(x[..., 0], x[..., 1])[..., None]
+        return np.concatenate([x[..., :2] / rho, np.zeros_like(rho)], axis=-1)
 
     def cyl_hess(x):
-        rho = math.hypot(x[0], x[1])
-        g2 = np.array([x[0] / rho, x[1] / rho])
-        h = np.zeros((3, 3))
-        h[:2, :2] = (np.eye(2) - np.outer(g2, g2)) / rho
+        rho = np.hypot(x[..., 0], x[..., 1])[..., None, None]
+        h = np.zeros(np.shape(x) + (3,))
+        h[..., :2, :2] = np.eye(2) / rho - curvature._outer(x[..., :2], x[..., :2]) / rho ** 3
         return h
 
-    probe = SdfProbe(lambda x: math.hypot(x[0], x[1]) - a, cyl_grad, cyl_hess)
+    probe = SdfProbe(lambda x: np.hypot(x[..., 0], x[..., 1]) - a, cyl_grad, cyl_hess)
     panel = Panel(np.array([a, 0.01, 0.0]), np.array([a, 0.0, 0.01]),
                   np.array([a, -0.01, -0.01]))
-    form = fundamental_form_from_shape(shape_operator(probe, np.array([a, 0.0, 0.0])),
-                                       rotation_to_z(panel.normal))
+    form = probe_forms(probe, np.array([[a, 0.0, 0.0]]), panel.normal[None])[0]
     # in the basis (tangent around the circle, axis direction)
     aligned = form.express_in(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     assert np.allclose(aligned.matrix, np.diag([-1.0 / a, 0.0]), atol=1e-12)
@@ -231,8 +230,8 @@ def test_estimate_fundamental_form_planar_patch():
 
 def test_estimate_fundamental_form_sphere():
     mesh = generate_sphere_mesh(4)
-    forms = estimate_fundamental_forms(mesh)
-    eigs = np.array([f.principal_curvatures() for f in forms])
+    eigs = estimate_fundamental_forms(mesh).principal_curvatures()
+    assert eigs.shape == (mesh.n_nodes, 2)
     assert np.max(np.abs(eigs + 1.0)) < 5e-2
 
 
@@ -241,7 +240,7 @@ def test_trace_consistency_sphere():
     for s in (3, 4):
         mesh = generate_sphere_mesh(s)
         forms = estimate_fundamental_forms(mesh)
-        traces = np.array([f.k11 + f.k22 for f in forms])
+        traces = forms.k11 + forms.k22
         worst[s] = np.max(np.abs(traces + 2.0))
     assert worst[4] < 0.1
     assert worst[4] < worst[3]
@@ -265,7 +264,7 @@ def test_estimate_fundamental_form_errors():
     mesh = SurfaceMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                        np.array([[0, 1, 2]]))
     with pytest.raises(MeshError, match="neighbors"):
-        estimate_fundamental_forms(mesh)[0]
+        estimate_fundamental_forms(mesh)
 
 
 def test_direct_normal_gradient_system_is_ill_conditioned():
@@ -289,3 +288,79 @@ def test_direct_normal_gradient_system_is_ill_conditioned():
         hs.append(np.mean(np.linalg.norm(d, axis=1)))
     slope = np.polyfit(np.log(hs), np.log(conds), 1)[0]
     assert slope <= -0.9
+
+
+def test_stacked_form_matches_one_node_forms():
+    # matrix, principal curvatures, express_in and rows of a stacked form
+    # against the same calls on each node's own form
+    rng = np.random.default_rng(29)
+    normals = rng.standard_normal((12, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    bases = np.array([rotation_to_z(n)[:2] for n in normals])
+    k11, k12, k22 = rng.standard_normal((3, 12))
+    stacked = FundamentalForm(k11, k12, k22, bases)
+    alpha = rng.uniform(0.0, 2.0 * np.pi, 12)[:, None]
+    turned = np.stack([np.cos(alpha) * bases[:, 0] + np.sin(alpha) * bases[:, 1],
+                       -np.sin(alpha) * bases[:, 0] + np.cos(alpha) * bases[:, 1]],
+                      axis=1)
+    moved = stacked.express_in(turned)
+    assert stacked.matrix.shape == (12, 2, 2) and moved.k11.shape == (12,)
+    for i in range(12):
+        one = FundamentalForm(k11[i], k12[i], k22[i], bases[i])
+        assert np.array_equal(stacked.matrix[i], one.matrix)
+        assert np.array_equal(stacked[i].matrix, one.matrix)
+        assert np.array_equal(stacked[i].basis, one.basis)
+        assert np.allclose(stacked.principal_curvatures()[i],
+                           one.principal_curvatures(), rtol=0.0, atol=1e-15)
+        assert np.allclose(moved.matrix[i], one.express_in(turned[i]).matrix,
+                           rtol=0.0, atol=1e-14)
+    rows = np.array([3, 0, 7])
+    assert np.array_equal(stacked[rows].matrix, stacked.matrix[rows])
+    assert np.array_equal(stacked[rows].basis, bases[rows])
+
+
+def _torus_and_sphere():
+    torus = generate_torus_mesh(0.4, 0.2, 24, 12)
+    return [(SurfaceMesh(torus.nodes, torus.triangles), torus_probe(0.4, 0.2)),
+            (generate_sphere_mesh(2), sphere_probe(1.0))]
+
+
+def test_each_producer_builds_one_stacked_form(monkeypatch):
+    built = []
+    init = FundamentalForm.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FundamentalForm, "__init__", counted)
+    for mesh, probe in _torus_and_sphere():
+        normals = _probe_normals(probe, mesh.nodes)
+        for make in (lambda: sphere_forms(mesh, radius=1.0),
+                     lambda: probe_forms(probe, mesh.nodes, normals),
+                     lambda: estimate_fundamental_forms(mesh, normals)):
+            built.clear()
+            form = make()
+            assert len(built) == 1
+            assert form.k11.shape == form.k12.shape == form.k22.shape == (mesh.n_nodes,)
+            assert form.basis.shape == (mesh.n_nodes, 2, 3)
+
+
+def test_principal_curvatures_do_not_depend_on_the_basis():
+    # the stacked probe and fit forms take tangent_frames bases; restricting
+    # the shape operator, or fitting, in each node's rotation_to_z frame
+    # gives the same principal curvatures
+    for mesh, probe in _torus_and_sphere():
+        normals = _probe_normals(probe, mesh.nodes)
+        shapes = shape_operator(probe, mesh.nodes)
+        frames = [rotation_to_z(n) for n in normals]
+        want = np.array([np.linalg.eigvalsh(r[:2] @ s @ r[:2].T)
+                         for r, s in zip(frames, shapes)])
+        got = probe_forms(probe, mesh.nodes, normals).principal_curvatures()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        adj = curvature._adjacency(mesh)
+        fits = [curvature._fit_entries(mesh, i, r, curvature._ring(adj, i))
+                for i, r in enumerate(frames)]
+        want = np.array([np.linalg.eigvalsh([[a, b], [b, c]]) for a, b, c in fits])
+        got = estimate_fundamental_forms(mesh, normals).principal_curvatures()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -81,17 +81,18 @@ def test_shape_operator_and_forms_match_per_point_calls(kind):
     normals = bem._probe_normals(probe, x)
     shapes = shape_operator(probe, x)
     forms = probe_forms(probe, x, normals)
+    assert forms.matrix.shape == (len(x), 2, 2) and forms.basis.shape == (len(x), 2, 3)
     for i, p in enumerate(x):
         n = bem._probe_normals(probe, p[None])[0]
         assert np.abs(normals[i] - n).max() <= 1e-15
         s = shape_operator(probe, p)
         assert np.abs(shapes[i] - s).max() <= 1e-14 * max(np.abs(s).max(), 1e-300)
-        form = probe_forms(probe, p[None], normals[i][None])[0]
+        form = probe_forms(probe, p[None], normals[i][None])
         scale = max(np.abs(form.matrix).max(), 1e-300)
-        assert np.abs(forms[i].matrix - form.matrix).max() <= 1e-14 * scale
-        assert np.array_equal(forms[i].basis, form.basis)
+        assert np.abs(forms.matrix[i] - form.matrix[0]).max() <= 1e-14 * scale
+        assert np.array_equal(forms.basis[i], form.basis[0])
     if kind == "plane":
-        assert all((f.matrix == 0.0).all() for f in forms)
+        assert (forms.matrix == 0.0).all()
 
 
 @pytest.mark.parametrize("kind", sorted(PROBES))

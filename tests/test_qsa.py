@@ -15,8 +15,8 @@ from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_patch, sphere_patch_cha
 from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
 from tripanel.qsa import (
     _angular_primitives,
+    _qsa_off_boundary,
     foot_point,
-    qsa_off_boundary,
     qsa_on_boundary,
     qsa_vertex,
     qsa_vertex_rows,
@@ -235,7 +235,7 @@ def test_off_boundary_flat_consistency():
         target = Target(foot + c * nplane, n_x)
         form = FundamentalForm(0.0, 0.0, 0.0, basis)
         p = PanelPolynomial.linear(rng.standard_normal(3))
-        got = qsa_off_boundary(panel, target, form, c, p)
+        got = _qsa_off_boundary(panel, target, form, c, p)
         want = integrate_k_panel(panel, target, p)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
@@ -257,7 +257,7 @@ def test_off_boundary_sphere_patch_both_sides():
         for diam in diams:
             panel = sphere_panel(None, diam, base=pole, spread=np.array([0.9, 2.2]))
             target = Target(x, n_x)
-            got = qsa_off_boundary(panel, target, form, sign * h)
+            got = _qsa_off_boundary(panel, target, form, sign * h)
             want = patch_k_oracle(panel, x, n_x)
             errs.append(max(abs(got - want), 1e-16))
             assert abs(got - want) < 0.5 * diam * diam, f"sign {sign}: {errs}"
@@ -276,7 +276,7 @@ def test_off_boundary_fixed_height_is_uniformly_accurate():
     x = (1.0 + h) * pole
     for diam in (0.2, 0.05):
         panel = sphere_panel(None, diam, base=pole, spread=np.array([0.9, 2.2]))
-        got = qsa_off_boundary(panel, Target(x, n_x), form, h)
+        got = _qsa_off_boundary(panel, Target(x, n_x), form, h)
         want = patch_k_oracle(panel, x, n_x)
         assert abs(got - want) < 5e-3 * abs(want)
 
@@ -286,7 +286,7 @@ def test_off_boundary_rejects_on_surface_target():
     panel = sphere_panel(rng, 0.2)
     x = panel.verts[0]
     with pytest.raises(DivergentIntegral):
-        qsa_off_boundary(panel, Target(x, x), sphere_form(x), 0.0)
+        _qsa_off_boundary(panel, Target(x, x), sphere_form(x), 0.0)
 
 
 def test_foot_point_probes():
@@ -330,10 +330,15 @@ def _incident_rows(nodes, tris, normals, forms):
     rows = np.array([i for i, _ in pairs])
     panels = np.array([p for _, p in pairs])
     first = np.array([list(tris[p]).index(i) for i, p in pairs])
-    kmat = np.array([forms[i].matrix for i in rows])
-    basis = np.array([forms[i].basis for i in rows])
-    return (nodes[tris[panels]], first, nodes[rows], normals[rows], kmat,
-            basis), rows
+    return (nodes[tris[panels]], first, nodes[rows], normals[rows],
+            forms[rows]), rows
+
+
+def _joined(forms, join=np.concatenate):
+    """One stacked form from stacked forms (or, with np.stack, from
+    one-node forms)."""
+    return FundamentalForm(*(join([getattr(f, k) for f in forms])
+                             for k in ("k11", "k12", "k22", "basis")))
 
 
 @pytest.mark.parametrize("case", ["ico2", "torus"])
@@ -352,8 +357,8 @@ def test_vertex_rows_match_one_row_calls(case):
         tris = np.concatenate([sphere.triangles, torus.triangles + sphere.n_nodes])
         normals = np.concatenate([sphere.nodes, torus.node_normals])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        forms = (sphere_forms(sphere, radius=1.0)
-                 + probe_forms(probes[1], torus.nodes, normals[sphere.n_nodes:]))
+        forms = _joined([sphere_forms(sphere, radius=1.0),
+                         probe_forms(probes[1], torus.nodes, normals[sphere.n_nodes:])])
     args, rows = _incident_rows(nodes, tris, normals, forms)
     batched = qsa_vertex_rows(*args, DENSITIES)
     verts, first, x, n = args[:4]
@@ -380,7 +385,7 @@ def test_vertex_rows_zero_interval_and_degenerate_rows():
     def rows(panels, normals, forms):
         verts = np.array([p.verts for p in panels])
         return (verts, np.zeros(len(panels), dtype=int), verts[:, 0], normals,
-                np.array([f.matrix for f in forms]), np.array([f.basis for f in forms]))
+                _joined(forms, np.stack))
 
     out = qsa_vertex_rows(*rows(panels, normals, forms), DENSITIES)
     assert np.all(out[1] == 0.0)
@@ -414,12 +419,12 @@ def test_density_list_matches_one_call_per_density():
         n_x = rng.standard_normal(3)
         calls = [lambda p: qsa_on_boundary(panel, Target(panel.v1, panel.v1), form, p),
                  lambda p: qsa_on_boundary(panel, Target(inner, inner), form, p),
-                 lambda p: qsa_off_boundary(panel, Target(1.001 * inner, n_x / np.linalg.norm(n_x)),
-                                            form, 1e-3, p)]
+                 lambda p: _qsa_off_boundary(panel, Target(1.001 * inner, n_x / np.linalg.norm(n_x)),
+                                             form, 1e-3, p)]
         for call in calls:
             got = call(densities)
             assert got.dtype == float and got.shape == (len(densities),)
             assert got.tolist() == [call(h) for h in densities]
             assert got[-1] == 0.0
     with pytest.raises(DivergentIntegral):
-        qsa_off_boundary(panel, Target(inner, inner), form, 0.0, densities)
+        _qsa_off_boundary(panel, Target(inner, inner), form, 0.0, densities)
