@@ -62,6 +62,7 @@ from .curvature import (
     _probe_eval,
     _probe_points,
     _restricted,
+    _unit_normals,
     estimate_fundamental_forms,
     estimate_normals,
     shape_operator,
@@ -201,16 +202,9 @@ class _Assembly:
                 got = mesh.node_normals
             if got is None and probe is not None:
                 got = _probe_normals(probe, mesh.nodes)
-            got = estimate_normals(mesh) if got is None else np.asarray(got, dtype=float)
-            if got.shape != mesh.nodes.shape:
-                raise MeshError(f"mesh {m} has {mesh.n_nodes} nodes but "
-                                f"normals of shape {got.shape}")
-            out.append(got)
-        normals = np.concatenate(out)
-        _require_finite(normals, "normal")
-        if np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() > 1e-12:
-            raise MeshError("node normals must be unit vectors")
-        return normals
+            out.append(_unit_normals(estimate_normals(mesh) if got is None else got,
+                                     mesh.n_nodes, f"mesh {m}", self.offsets[m]))
+        return np.concatenate(out)
 
     @cached_property
     def forms(self):
@@ -397,8 +391,10 @@ def sphere_forms(mesh: SurfaceMesh, radius=None):
 
 def probe_forms(probe, points, normals):
     """Stacked fundamental forms at points (N, 3) from an implicit-surface
-    probe: one shape-operator call, restricted to the normals' tangent bases."""
-    basis = np.stack(tangent_frames(np.asarray(normals, dtype=float)), axis=1)
+    probe: one shape-operator call, restricted to the normals' tangent bases.
+    The normals must be (N, 3), finite and unit (else MeshError)."""
+    normals = _unit_normals(normals, len(points), "the node set")
+    basis = np.stack(tangent_frames(normals), axis=1)
     return _restricted(basis @ shape_operator(probe, points)
                        @ basis.transpose(0, 2, 1), basis)
 
@@ -428,9 +424,12 @@ def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
     The exact value for a target on a closed surface with outward normal
     is +1/2 (half the solid angle seen from the surface).  Returns
     (max_error, per_node_errors).  `parts` accepts the output of
-    identity_row_parts to share the strategy-independent work.  The forms
+    identity_row_parts to share the strategy-independent work, and with
+    them its normals: passing `normals` too raises ValueError.  The forms
     default to the fit at the normals, as `assemble`'s do.
     """
+    if parts is not None and normals is not None:
+        raise ValueError("pass normals or parts, not both: parts hold their normals")
     if parts is None:
         parts = identity_row_parts(mesh, normals)
     base, _, nrm = parts

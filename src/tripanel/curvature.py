@@ -13,6 +13,7 @@ least-squares quadratic fit of each node's neighborhood in its frame.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .batch import tangent_frames
 from .errors import MeshError
@@ -138,57 +139,74 @@ def estimate_normals(mesh: SurfaceMesh) -> np.ndarray:
     return acc / lens[:, None]
 
 
-def _adjacency(mesh: SurfaceMesh) -> list:
-    adj = [set() for _ in range(mesh.n_nodes)]
-    for i, j, k in mesh.triangles:
-        adj[i].update((j, k))
-        adj[j].update((i, k))
-        adj[k].update((i, j))
-    return adj
+def _unit_normals(normals, n_nodes, where="the mesh", first=0) -> np.ndarray:
+    """Node normals as floats (n_nodes, 3), finite and unit to 1e-12, else
+    MeshError naming the shape or the first bad node (numbered from first)."""
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape != (n_nodes, 3):
+        raise MeshError(f"{where} has {n_nodes} nodes but normals of shape "
+                        f"{normals.shape}")
+    lens = np.linalg.norm(normals, axis=1)
+    bad = np.flatnonzero(~(np.abs(lens - 1.0) <= 1e-12))  # NaN and inf fail too
+    if bad.size:
+        i = int(bad[0])
+        raise MeshError(f"node {first + i} has a non-finite normal"
+                        if not np.isfinite(normals[i]).all() else
+                        f"node {first + i} has a normal of length {float(lens[i])!r}, "
+                        "not a unit vector")
+    return normals
 
 
-def _fit_entries(mesh, node, frame, neighbors) -> tuple:
-    """(k11, k12, k22) of the fit at one node in its frame (rows t1, t2, n)."""
-    q = (mesh.nodes[list(neighbors)] - mesh.nodes[node]) @ frame.T
-    s1, s2, h = q[:, 0], q[:, 1], q[:, 2]
-    a = np.column_stack([s1 * s1, s2 * s2, s1 * s2, s1, s2])
-    if len(a) < 5:
-        raise MeshError(f"node {node}: fewer than 5 neighbors for the quadratic fit")
-    scale = np.sqrt((a * a).sum(axis=0))
-    if (scale <= 1e-300).any():
-        raise MeshError(f"node {node}: rank-deficient neighborhood (collinear projection)")
-    a_s = a / scale
-    try:
-        coef = np.linalg.solve(a_s.T @ a_s, a_s.T @ h) / scale
-    except np.linalg.LinAlgError as exc:
-        raise MeshError(f"node {node}: rank-deficient neighborhood") from exc
-    if not np.all(np.isfinite(coef)):
-        raise MeshError(f"node {node}: quadratic fit did not converge")
-    return 2.0 * coef[0], coef[2], 2.0 * coef[1]  # d, e (linear terms) are discarded
+def _rings(mesh: SurfaceMesh) -> tuple:
+    """The fit's rings as a CSR table (indptr, sorted node ids): each node's
+    1-ring, or its 2-ring without itself when the 1-ring has fewer than 8."""
+    t = mesh.triangles  # each vertex to the other two of its triangle
+    adj = sparse.csr_array((np.ones(2 * t.size), (t[:, [0, 0, 1, 1, 2, 2]].ravel(),
+                            t[:, [1, 2, 0, 2, 0, 1]].ravel())), shape=(mesh.n_nodes,) * 2)
+    ring = adj + sparse.diags_array(1.0 * (np.diff(adj.indptr) < 8)) @ adj @ adj
+    ring = (sparse.triu(ring, 1) + sparse.tril(ring, -1)).tocsr()
+    return ring.indptr, ring.indices
 
 
-def _ring(adj, node):
-    neighbors = set(adj[node])
-    if len(neighbors) < 8:
-        for k in list(neighbors):
-            neighbors.update(adj[k])
-        neighbors.discard(node)
-    return sorted(neighbors)
+def _fit(mesh: SurfaceMesh, frames) -> np.ndarray:
+    """(k11, k12, k22) per node, (N, 3): each ring's quadratic fit in its node's
+    frame (N, 3, 3), rows t1, t2, n; one column-scaled solve per ring size."""
+    indptr, ids = _rings(mesh)
+    sizes = np.diff(indptr)
+    k = np.empty((mesh.n_nodes, 3))
+    for size in np.unique(sizes):  # ascending: a too-small ring is named first
+        nodes = np.flatnonzero(sizes == size)
+        if size < 5:
+            raise MeshError(f"node {nodes[0]}: fewer than 5 neighbors for the quadratic fit")
+        ring = mesh.nodes[ids[indptr[nodes, None] + np.arange(size)]] - mesh.nodes[nodes, None]
+        s1, s2, h = np.moveaxis(ring @ frames[nodes].transpose(0, 2, 1), 2, 0)
+        a = np.stack([s1 * s1, s2 * s2, s1 * s2, s1, s2], axis=-1)
+        scale = np.sqrt((a * a).sum(axis=1))
+        flat = nodes[(scale <= 1e-300).any(axis=1)]
+        if flat.size:  # before the division below
+            raise MeshError(f"node {flat[0]}: rank-deficient neighborhood (collinear projection)")
+        a_t = (a / scale[:, None]).transpose(0, 2, 1)
+        m = a_t @ a_t.transpose(0, 2, 1)
+        try:
+            coef = np.linalg.solve(m, a_t @ h[..., None])[..., 0] / scale
+        except np.linalg.LinAlgError as exc:  # an exact zero pivot, where det is 0
+            node = nodes[np.linalg.det(m) == 0][0]
+            raise MeshError(f"node {node}: rank-deficient neighborhood") from exc
+        bad = nodes[~np.isfinite(coef).all(axis=1)]
+        if bad.size:
+            raise MeshError(f"node {bad[0]}: quadratic fit did not converge")
+        k[nodes] = coef[:, [0, 2, 1]] * [2.0, 1.0, 2.0]  # d, e (linear terms) are discarded
+    return k
 
 
 def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> FundamentalForm:
-    """Least-squares second fundamental forms at the mesh nodes, stacked:
-    in each node's frame (its batch.tangent_frames basis and its normal)
-    fits h = a s1^2 + b s2^2 + c s1 s2 + d s1 + e s2 to its 1-ring (the
-    2-ring when the 1-ring has fewer than 8 nodes); K = [[2a, c], [c, 2b]].
-    """
-    normals = estimate_normals(mesh) if node_normals is None \
-        else np.asarray(node_normals, dtype=float)
+    """Stacked least-squares second fundamental forms at the nodes: in each node's
+    frame (tangent_frames basis, normal), h = a s1^2 + b s2^2 + c s1 s2 + d s1 + e s2
+    fit to its ring (_rings) gives K = [[2a, c], [c, 2b]].  Normals: _unit_normals."""
+    normals = _unit_normals(estimate_normals(mesh) if node_normals is None else node_normals,
+                            mesh.n_nodes)
     basis = np.stack(tangent_frames(normals), axis=1)
-    frames = np.concatenate([basis, normals[:, None]], axis=1)
-    adj = _adjacency(mesh)
-    k = np.array([_fit_entries(mesh, n, frames[n], _ring(adj, n))
-                  for n in range(mesh.n_nodes)]).reshape(-1, 3)
+    k = _fit(mesh, np.concatenate([basis, normals[:, None]], axis=1))
     return FundamentalForm(k[:, 0], k[:, 1], k[:, 2], basis)
 
 

@@ -183,6 +183,10 @@ def test_non_finite_forms_and_normals_raise():
             assemble([mesh], strategy, normals=[normals])
     with pytest.raises(MeshError, match="node 7 has a non-finite normal"):
         identity_row_parts(mesh, normals)
+    # nodes are numbered across the meshes: node 7 of the second is node 49
+    with pytest.raises(MeshError, match="node 49 has a non-finite normal"):
+        assemble([generate_sphere_mesh(1), mesh], SingularStrategy.Zero,
+                 normals=[unit_normals(mesh), normals])
     # a probe whose Hessian is NaN at one node gives a NaN form there
     probe = sphere_probe(1.0)
 
@@ -321,6 +325,21 @@ def test_sphere_identity_strategies_at_s2():
     # recomputing without precomputed parts agrees
     mx2, _ = sphere_identity_test(mesh, SingularStrategy.QSA)
     assert abs(mx2 - errs[SingularStrategy.QSA]) < 1e-12
+
+
+def test_sphere_identity_test_takes_normals_or_parts_not_both():
+    # the parts carry the normals their row sums used; flipped normals
+    # passed beside them would be dropped without a word
+    mesh = generate_sphere_mesh(1)
+    normals = unit_normals(mesh)
+    parts = identity_row_parts(mesh, normals)
+    for given in (normals, -normals):
+        with pytest.raises(ValueError, match="normals or parts, not both"):
+            sphere_identity_test(mesh, SingularStrategy.Zero, normals=given,
+                                 parts=parts)
+    by_parts = sphere_identity_test(mesh, SingularStrategy.Zero, parts=parts)[1]
+    by_normals = sphere_identity_test(mesh, SingularStrategy.Zero, normals=normals)[1]
+    assert np.array_equal(by_parts, by_normals)
 
 
 @pytest.mark.parametrize("mesh", [generate_sphere_mesh(2),

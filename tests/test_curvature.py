@@ -18,7 +18,12 @@ from tripanel.curvature import (
 )
 from tripanel.errors import MeshError
 from tripanel.geometry import Panel, rotation_to_z
-from tripanel.mesh_io import SurfaceMesh, generate_sphere_mesh, generate_torus_mesh
+from tripanel.mesh_io import (
+    SurfaceMesh,
+    generate_fibonacci_sphere_mesh,
+    generate_sphere_mesh,
+    generate_torus_mesh,
+)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -358,9 +363,129 @@ def test_principal_curvatures_do_not_depend_on_the_basis():
                          for r, s in zip(frames, shapes)])
         got = probe_forms(probe, mesh.nodes, normals).principal_curvatures()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        adj = curvature._adjacency(mesh)
-        fits = [curvature._fit_entries(mesh, i, r, curvature._ring(adj, i))
-                for i, r in enumerate(frames)]
+        fits = curvature._fit(mesh, np.array(frames))
         want = np.array([np.linalg.eigvalsh([[a, b], [b, c]]) for a, b, c in fits])
         got = estimate_fundamental_forms(mesh, normals).principal_curvatures()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def bipyramid_mesh(m=10):
+    # a wavy m-gon closed by two apexes of valence m >= 8 (1-ring fits);
+    # the equator nodes have valence 4 and take the 2-ring
+    ang = 2 * np.pi * np.arange(m) / m
+    nodes = np.vstack([np.c_[np.cos(ang), np.sin(ang), 0.1 * np.cos(3 * ang)],
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, -1.2]]])
+    tris = [[i, (i + 1) % m, m] for i in range(m)] + \
+        [[(i + 1) % m, i, m + 1] for i in range(m)]
+    return SurfaceMesh(nodes, np.array(tris))
+
+
+def reference_rings(mesh):
+    """Each node's 1-ring, or its 2-ring without itself below 8 nodes."""
+    adj = [set() for _ in range(mesh.n_nodes)]
+    for tri in mesh.triangles:
+        for i in tri:
+            adj[i].update(int(j) for j in tri if j != i)
+    rings = []
+    for node, ring in enumerate(adj):
+        if len(ring) < 8:
+            ring = ring.union(*(adj[j] for j in ring)) - {node}
+        rings.append(sorted(ring))
+    return rings
+
+
+def reference_fit(mesh, frames):
+    """The quadratic fit one node at a time: column-scaled normal equations."""
+    out = []
+    for node, (frame, ring) in enumerate(zip(frames, reference_rings(mesh))):
+        s1, s2, h = ((mesh.nodes[ring] - mesh.nodes[node]) @ frame.T).T
+        a = np.column_stack([s1 * s1, s2 * s2, s1 * s2, s1, s2])
+        scale = np.sqrt((a * a).sum(axis=0))
+        a_s = a / scale
+        coef = np.linalg.solve(a_s.T @ a_s, a_s.T @ h) / scale
+        out.append([2.0 * coef[0], coef[2], 2.0 * coef[1]])
+    return np.array(out)
+
+
+def _fit_meshes():
+    torus = generate_torus_mesh(0.4, 0.2, 24, 12)
+    return [generate_sphere_mesh(2), generate_fibonacci_sphere_mesh(150),
+            SurfaceMesh(torus.nodes, torus.triangles), bipyramid_mesh(10),
+            bipyramid_mesh(12)]
+
+
+@pytest.mark.parametrize("mesh", _fit_meshes(),
+                         ids=["ico2", "fib150", "torus", "bipyramid10", "bipyramid12"])
+def test_fit_matches_a_per_node_reference(mesh):
+    indptr, ids = curvature._rings(mesh)
+    rings = reference_rings(mesh)
+    assert [ids[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == rings
+    normals = estimate_normals(mesh)
+    forms = estimate_fundamental_forms(mesh, normals)
+    frames = np.concatenate([forms.basis, normals[:, None]], axis=1)
+    got = np.column_stack([forms.k11, forms.k12, forms.k22])
+    want = reference_fit(mesh, frames)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+
+
+def test_bipyramid_apexes_fit_their_one_ring():
+    mesh = bipyramid_mesh(10)
+    indptr, ids = curvature._rings(mesh)
+    assert np.array_equal(np.diff(indptr), [11] * 10 + [10, 10])
+    assert ids[indptr[10]:indptr[11]].tolist() == list(range(10))
+
+
+def test_fit_solves_once_per_ring_size(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(m, b):
+        calls.append(len(m))
+        return solve(m, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for mesh in _fit_meshes():
+        sizes = np.unique([len(r) for r in reference_rings(mesh)])
+        calls.clear()
+        estimate_fundamental_forms(mesh)
+        assert len(calls) == len(sizes)
+        assert sum(calls) == mesh.n_nodes
+
+
+def test_fit_errors_name_a_defective_node():
+    mesh = grid_mesh()
+    # normals in the grid's plane: the frames project every ring onto the
+    # t2 axis, so the s1 columns vanish
+    with pytest.raises(MeshError, match=r"^node 0: rank-deficient neighborhood "
+                                        r"\(collinear projection\)$"):
+        estimate_fundamental_forms(mesh, np.tile([0.0, 1.0, 0.0], (25, 1)))
+    # t1 = t2: the s1 and s2 columns coincide, the normal matrix is singular
+    frames = np.tile([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (25, 1, 1))
+    with pytest.raises(MeshError, match=r"^node 0: rank-deficient neighborhood$"):
+        curvature._fit(mesh, frames)
+    frames = np.tile(np.eye(3), (25, 1, 1))
+    frames[12, 0, 0] = np.nan
+    with pytest.raises(MeshError, match=r"^node 12: quadratic fit did not converge$"):
+        curvature._fit(mesh, frames)
+
+
+def test_every_form_producer_checks_its_normals():
+    # one rule for node normals: (n_nodes, 3), finite, unit to 1e-12
+    mesh = generate_sphere_mesh(1)
+    normals = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
+    probe = sphere_probe(1.0)
+    producers = [lambda n: estimate_fundamental_forms(mesh, n),
+                 lambda n: probe_forms(probe, mesh.nodes, n)]
+    for make in producers:
+        for rows in (np.arange(41), np.r_[0:42, 0:1]):
+            with pytest.raises(MeshError, match=rf"has 42 nodes but normals of "
+                                                rf"shape \({len(rows)}, 3\)"):
+                make(normals[rows])
+        with pytest.raises(MeshError, match=r"node 0 has a normal of length 2\.0, "
+                                            r"not a unit vector"):
+            make(2.0 * normals)
+        bad = normals.copy()
+        bad[7, 1] = np.nan
+        with pytest.raises(MeshError, match="node 7 has a non-finite normal"):
+            make(bad)
+        assert np.isfinite(make(normals).principal_curvatures()).all()
