@@ -62,7 +62,6 @@ from .curvature import (
     _probe_eval,
     _probe_points,
     _restricted,
-    _unit_normals,
     estimate_fundamental_forms,
     estimate_normals,
     shape_operator,
@@ -70,8 +69,8 @@ from .curvature import (
 )
 from .errors import ConvergenceFailure, DivergentIntegral, MeshError
 from .geometry import Panel, Target
-from .mesh_io import (SurfaceMesh, generate_torus_mesh, golden_spiral,
-                      require_closed_outward)
+from .mesh_io import (SurfaceMesh, _unit_normals, generate_torus_mesh,
+                      golden_spiral, require_closed_outward)
 from .panel_integrals import (
     FOUR_PI,
     PanelPolynomial,
@@ -380,9 +379,12 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
 
 def sphere_forms(mesh: SurfaceMesh, radius=None):
     """Analytic fundamental forms of a centered sphere mesh (-1/R times I),
-    one stacked form."""
+    one stacked form.  R is radius (finite and > 0, else ValueError), or
+    the mean node norm when radius is None."""
     r = float(np.mean(np.linalg.norm(mesh.nodes, axis=1))) if radius is None \
         else float(radius)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"need a finite radius > 0, got {r!r}")
     n = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
     k = np.full(len(n), -1.0 / r)
     return FundamentalForm(k, np.zeros_like(k), k.copy(),
@@ -528,8 +530,11 @@ def enclosing_flux(meshes, gamma, radius=0.7, center=None, n=400):
     """Net flux of grad u through a sphere, by golden-spiral quadrature.
 
     Zero (to discretization error) whenever the sphere encloses only
-    insulating interfaces, since u is harmonic between the layers.
+    insulating interfaces, since u is harmonic between the layers.  n is
+    the number of quadrature points, at least 1 (else ValueError).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     center = np.zeros(3) if center is None else np.asarray(center, dtype=float)
     dirs = golden_spiral(n)
     grad = potential_gradient(meshes, gamma, center + radius * dirs)
@@ -547,9 +552,15 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     |grad u . n| against the field.  The per-point ratio
     |grad u . n| / |grad u| blows up at flow stagnation points where the
     whole field vanishes, so the stable figure of merit scales by the
-    strongest sampled field instead.
+    strongest sampled field instead.  n_samples < 1, or no second
+    mesh, raises ValueError.
     """
     meshes = _as_mesh_list(meshes)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if len(meshes) < 2:
+        raise ValueError(f"meshes has {len(meshes)} mesh(es); the interface is "
+                         "the second mesh, meshes[1]")
     surf = meshes[1]
     count = min(n_samples, surf.n_triangles)
     sel = (np.arange(count) * surf.n_triangles) // count

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from .batch import tangent_frames
 from .errors import MeshError
-from .mesh_io import SurfaceMesh
+from .mesh_io import SurfaceMesh, _unit_normals
 
 
 _XY = np.array([1.0, 1.0, 0.0])
@@ -137,24 +137,6 @@ def estimate_normals(mesh: SurfaceMesh) -> np.ndarray:
     if bad.size:
         raise MeshError(f"node {int(bad[0])} has no usable incident triangles")
     return acc / lens[:, None]
-
-
-def _unit_normals(normals, n_nodes, where="the mesh", first=0) -> np.ndarray:
-    """Node normals as floats (n_nodes, 3), finite and unit to 1e-12, else
-    MeshError naming the shape or the first bad node (numbered from first)."""
-    normals = np.asarray(normals, dtype=float)
-    if normals.shape != (n_nodes, 3):
-        raise MeshError(f"{where} has {n_nodes} nodes but normals of shape "
-                        f"{normals.shape}")
-    lens = np.linalg.norm(normals, axis=1)
-    bad = np.flatnonzero(~(np.abs(lens - 1.0) <= 1e-12))  # NaN and inf fail too
-    if bad.size:
-        i = int(bad[0])
-        raise MeshError(f"node {first + i} has a non-finite normal"
-                        if not np.isfinite(normals[i]).all() else
-                        f"node {first + i} has a normal of length {float(lens[i])!r}, "
-                        "not a unit vector")
-    return normals
 
 
 def _rings(mesh: SurfaceMesh) -> tuple:

@@ -8,15 +8,14 @@ of an edge over one interval of r, where the crossing angle follows
 theta(r) = sign*arccos(d/r) + phi; a slab holds its total angle and the
 sides it crosses, and each side's run over consecutive slabs is listed once.
 The planar work runs on Python floats, points as (x, y) pairs, and
-decompose_polar reads the critical radii and the runs from one edge table
-per triangle.
+decompose_polar reads the critical radii, the runs and the origin's side of
+every edge line (its inside test) from one edge table per triangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -131,14 +130,8 @@ def orient_planar(p1, p2, p3) -> "PlanarTriangle":
     return PlanarTriangle(pts[start:] + pts[:start])
 
 
-class EdgeActivity(IntEnum):
-    INACTIVE = -1
-    SPLIT = 0
-    ACTIVE = 1
-
-
-# an edge's activity by the number of its circle crossings
-_ACTIVITY = (int(EdgeActivity.INACTIVE), int(EdgeActivity.ACTIVE), int(EdgeActivity.SPLIT))
+# an edge's activity by its number of circle crossings: inactive, active, split
+_ACTIVITY = (-1, 1, 0)
 
 
 @dataclass
@@ -201,16 +194,14 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
 
 
 class PlanarTriangle:
-    """Positively oriented 2D triangle with vertex 1 nearest the origin;
-    pts are its vertices as (x, y) float pairs, verts as a (3, 2) array."""
+    """Positively oriented 2D triangle with vertex 1 nearest the origin, as
+    orient_planar, its one constructor, makes it; pts are its vertices as
+    (x, y) float pairs, verts as a (3, 2) array."""
 
     def __init__(self, verts):
         self.pts = tuple((float(x), float(y)) for x, y in verts)
         (x0, y0), (x1, y1), (x2, y2) = self.pts
         self.area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        if self.area <= 0.0:
-            raise DegenerateTriangle("planar triangle must be positively oriented; "
-                                     "build it with orient_planar")
 
     @cached_property
     def verts(self):
@@ -271,19 +262,6 @@ def _project(verts, origin, rows):
     e1, e2 = rows[0], rows[1]
     return tuple((_dot3(e1, w), _dot3(e2, w))
                  for w in [(v[0] - ox, v[1] - oy, v[2] - oz) for v in verts])
-
-
-def point_in_triangle(p, tri, tol: float = 1e-12) -> bool:
-    """Closed inside test: points on the boundary count as inside."""
-    pts = tri.pts if isinstance(tri, PlanarTriangle) else \
-        np.asarray(tri, dtype=float).reshape(3, 2).tolist()
-    px, py = float(p[0]), float(p[1])
-    scale = max(1.0, *(abs(v) for pt in pts for v in pt))
-    lim = -tol * scale * scale
-    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < lim:
-            return False
-    return True
 
 
 def critical_radii(tri: PlanarTriangle) -> list[float]:
@@ -371,21 +349,19 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     starts an interior arc, the u < 0 side ends one.  A slab lists the
     sides crossed at its midpoint; its total dphi is the sum of
     sigma*phi, branch-corrected at the midpoint, where the arcs measure
-    less than 2*pi.  No crossings means the circle is entirely inside
-    (full-circle slab) or entirely outside (slab dropped).  When the
-    origin lies in the closed triangle the first slab opens at r = 0,
-    unless the smallest critical radius is already zero up to
-    roundoff_floor.
+    less than 2*pi.  The origin is in the closed triangle when every edge
+    table entry has ori = 1 (q < 0, or d snapped to 0).  Then the first
+    slab opens at r = 0, unless the smallest critical radius is already
+    zero up to roundoff_floor, and a slab with no crossings is a full
+    circle; about an outside origin such a slab misses the triangle and
+    is dropped.
     """
     egs = edge_geometry(tri)
+    inside = all(eg.ori == 1 for eg in egs)
     bounds = _merged_radii(egs)
-    if bounds[0] > roundoff_floor(bounds[-1]) and point_in_triangle((0.0, 0.0), tri):
+    if inside and bounds[0] > roundoff_floor(bounds[-1]):
         bounds.insert(0, 0.0)
 
-    (x0, y0), (x1, y1), (x2, y2) = tri.pts
-    cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
-    cn = math.hypot(cx, cy)
-    ref_x, ref_y = (cx / cn, cy / cn) if cn > 1e-14 else (1.0, 0.0)
     sides = []  # (edge, (sigma, boundary), lo, hi): crossed by circles lo < r < hi
     for k, eg in enumerate(egs):
         if eg.foot_on_edge:
@@ -405,8 +381,8 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
         for side in crossed:
             counts[side[0]] += 1
         activity = (_ACTIVITY[counts[0]], _ACTIVITY[counts[1]], _ACTIVITY[counts[2]])
-        if not crossed:
-            if point_in_triangle((r_mid * ref_x, r_mid * ref_y), tri, tol=0.0):
+        if not crossed:  # inside the triangle about an inside origin, else missing it
+            if inside:
                 slabs.append(PolarSlab(r_lo, r_hi, two_pi, [], activity))
             continue
         net = phi_sum = sweep_sum = 0.0

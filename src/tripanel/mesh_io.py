@@ -46,8 +46,6 @@ class SurfaceMesh:
             raise MeshError(f"triangles must be (M, 3), got {self.triangles.shape}")
         if self.node_normals is not None:
             self.node_normals = np.asarray(self.node_normals, dtype=float)
-            if self.node_normals.shape != self.nodes.shape:
-                raise MeshError("node_normals shape must match nodes")
         self.validate()
 
     @property
@@ -59,10 +57,9 @@ class SurfaceMesh:
         return len(self.triangles)
 
     def validate(self):
-        for what, arr in (("node", self.nodes), ("node normal", self.node_normals)):
-            if arr is not None and not np.isfinite(arr).all():
-                bad = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
-                raise MeshError(f"{what} {bad} has a non-finite coordinate")
+        if not np.isfinite(self.nodes).all():
+            bad = int(np.nonzero(~np.isfinite(self.nodes).all(axis=1))[0][0])
+            raise MeshError(f"node {bad} has a non-finite coordinate")
         tri = self.triangles
         n = len(self.nodes)
         if tri.size and (tri.min() < 0 or tri.max() >= n):
@@ -80,9 +77,25 @@ class SurfaceMesh:
         if tiny.any():
             raise MeshError(f"triangle {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
         if self.node_normals is not None:
-            lens = np.linalg.norm(self.node_normals, axis=1)
-            if np.abs(lens - 1.0).max() > 1e-12:
-                raise MeshError("node_normals must be unit vectors")
+            _unit_normals(self.node_normals, n)
+
+
+def _unit_normals(normals, n_nodes, where="the mesh", first=0) -> np.ndarray:
+    """Node normals as floats (n_nodes, 3), finite and unit to 1e-12, else
+    MeshError naming the shape or the first bad node (numbered from first)."""
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape != (n_nodes, 3):
+        raise MeshError(f"{where} has {n_nodes} nodes but normals of shape "
+                        f"{normals.shape}")
+    lens = np.linalg.norm(normals, axis=1)
+    bad = np.flatnonzero(~(np.abs(lens - 1.0) <= 1e-12))  # NaN and inf fail too
+    if bad.size:
+        i = int(bad[0])
+        raise MeshError(f"node {first + i} has a non-finite normal"
+                        if not np.isfinite(normals[i]).all() else
+                        f"node {first + i} has a normal of length {float(lens[i])!r}, "
+                        "not a unit vector")
+    return normals
 
 
 def load_mesh(path, format: str | None = None) -> SurfaceMesh:

@@ -1,7 +1,8 @@
 """The 50-digit solid-angle reference, the panels near the pole and the
-near-vertex targets that the scalar and batch K tests share, and the
-seeded planar triangles with grazing origins that the decomposition and
-moment-walk tests share."""
+near-vertex targets that the scalar and batch K tests share, the seeded
+planar triangles with grazing origins that the decomposition and
+moment-walk tests share, and the closed inside test that the
+decomposition tests check against."""
 
 import math
 
@@ -93,3 +94,15 @@ def grazing_triangle(rng, placement):
             return orient_planar(*(pts - origin))
         except DegenerateTriangle:
             continue
+
+
+def point_in_triangle(p, tri, tol=1e-12):
+    """Closed inside test of the point p in the PlanarTriangle tri: points
+    on the boundary, and up to tol * max(1, |coordinate|)^2 in cross
+    product outside an edge line, count as inside."""
+    pts = tri.pts
+    px, py = float(p[0]), float(p[1])
+    scale = max(1.0, *(abs(v) for pt in pts for v in pt))
+    lim = -tol * scale * scale
+    return all((bx - ax) * (py - ay) - (by - ay) * (px - ax) >= lim
+               for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))

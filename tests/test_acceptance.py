@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from tripanel.bem import (

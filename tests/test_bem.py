@@ -439,6 +439,27 @@ def test_torus_flux_diagnostic_samples_every_ring():
     assert set(rings.tolist()) == set(range(n_u))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda m, g, p: enclosing_flux(m, g, n=0), "n must be at least 1, got 0"),
+    (lambda m, g, p: torus_flux_diagnostic(m, g, p, n_samples=0),
+     "n_samples must be at least 1, got 0"),
+    (lambda m, g, p: torus_flux_diagnostic(m[:1], g[:m[0].n_nodes], p),
+     r"meshes has 1 mesh\(es\); the interface is the second mesh"),
+], ids=["flux-n-0", "diagnostic-n-samples-0", "diagnostic-one-mesh"])
+def test_flux_diagnostics_reject_bad_arguments(call, match):
+    meshes = [generate_sphere_mesh(1), generate_torus_mesh(0.4, 0.2, 10, 5)]
+    gamma = np.ones(sum(m.n_nodes for m in meshes))
+    with pytest.raises(ValueError, match=match):
+        call(meshes, gamma, torus_probe(0.4, 0.2))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_sphere_forms_rejects_a_bad_radius(radius):
+    with pytest.raises(ValueError, match="need a finite radius > 0"):
+        sphere_forms(generate_sphere_mesh(1), radius=radius)
+
+
 def test_assemble_defaults_to_stored_node_normals():
     # tilted away from both the radial and the estimated normals, so a
     # matrix built from either would differ

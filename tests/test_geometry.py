@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from tripanel.errors import DegenerateTriangle
 from tripanel.geometry import (
-    EdgeActivity,
     Panel,
     Target,
     critical_radii,
@@ -19,13 +18,12 @@ from tripanel.geometry import (
     edge_geometry,
     normalize_frame,
     orient_planar,
-    point_in_triangle,
     rotation_to_z,
     roundoff_floor,
 )
 from tripanel.panel_integrals import integrate_g_panel, integrate_k_panel
 
-from solid_angle import grazing_triangle
+from solid_angle import grazing_triangle, point_in_triangle
 
 # the worked decomposition example triangle
 FIG_VERTS = [(0.0, 2.0), (-2.0, -1.0), (3.0, 0.0)]
@@ -378,20 +376,39 @@ def test_decompose_rotation_invariant(t, alpha):
 @example(t=(0.0, 0.0, 2.0, 0.3, 0.5, 2.0))     # origin at a vertex
 @example(t=(2.0, 0.0, 3.0, 2.0, 4.0, -1.0))    # origin outside
 def test_slabs_are_consecutive_critical_radii(t):
+    check_slabs_are_consecutive_critical_radii(orient_planar(t[0:2], t[2:4], t[4:6]))
+
+
+@pytest.mark.parametrize("placement", ["generic", "edge", "vertex"])
+def test_slabs_are_consecutive_critical_radii_when_grazing(placement):
+    rng = np.random.default_rng(19)
+    for _ in range(400):
+        check_slabs_are_consecutive_critical_radii(grazing_triangle(rng, placement))
+
+
+def check_slabs_are_consecutive_critical_radii(tri):
     # the merge rule lives in critical_radii alone: every slab spans two
     # consecutive critical radii, or opens at r = 0 when the origin is in
-    # the closed triangle and the smallest radius is above roundoff
-    tri = orient_planar(t[0:2], t[2:4], t[4:6])
+    # the closed triangle and the smallest radius is above roundoff; that
+    # first slab is the one full circle.  point_in_triangle says whether
+    # the origin is inside, unless the answer turns on its tolerance (the
+    # origin within it of an edge line): then either answer is valid, and
+    # the decomposition's own choice is held to the same rules
     radii = critical_radii(tri)
-    opens_at_zero = (point_in_triangle((0.0, 0.0), tri)
-                     and radii[0] > roundoff_floor(radii[-1]))
+    slabs = decompose_polar(tri).slabs
+    got = [(s.r_lo, s.r_hi) for s in slabs]
+    inside = point_in_triangle((0.0, 0.0), tri)
+    if inside != point_in_triangle((0.0, 0.0), tri, tol=-1e-12):
+        inside = got[:1] == [(0.0, radii[0])]
+    opens_at_zero = inside and radii[0] > roundoff_floor(radii[-1])
     bounds = [0.0] * opens_at_zero + radii
     pairs = list(zip(bounds[:-1], bounds[1:]))
-    got = [(s.r_lo, s.r_hi) for s in decompose_polar(tri).slabs]
     where = [pairs.index(p) for p in got]  # ValueError: not consecutive radii
     assert where == sorted(set(where))
-    if opens_at_zero and point_in_triangle((0.0, 0.0), tri, tol=0.0):
+    if opens_at_zero:
         assert got[0] == (0.0, radii[0])
+    assert [s.full_circle for s in slabs] == [opens_at_zero and k == 0
+                                              for k in range(len(slabs))]
 
 
 @pytest.mark.parametrize("placement", ["generic", "edge", "vertex"])

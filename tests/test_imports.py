@@ -1,11 +1,12 @@
-"""Every import in the library modules is used where it is imported.
+"""Every import in the library modules and the tests is used where it is
+imported.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module in src/tripanel (the package __init__ re-exports, so it is
-skipped): a name bound by an import must be read somewhere in its module,
-unless the import's line carries ``# noqa: F401`` (an attribute kept for a
-caller that looks it up on the module).  The one such caller is the traced
-benchmark: each ``noqa`` import must name an attribute that a
+skipped) and in tests: a name bound by an import must be read somewhere in
+its module, unless the import's line carries ``# noqa: F401`` (an attribute
+kept for a caller that looks it up on the module).  The one such caller is
+the traced benchmark: each ``noqa`` import must name an attribute that a
 ``bench/layers.py`` ``SITES`` entry looks up on that module, read here from
 that file's syntax tree without importing it.
 """
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tripanel"
 LAYERS = ROOT / "bench" / "layers.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imports(path):
@@ -65,8 +67,8 @@ def site_lookups(path=LAYERS):
 
 
 def test_every_import_is_used():
-    assert MODULES
-    found = [f"{p.name}:{line} {name}" for p in MODULES
+    assert MODULES and TESTS
+    found = [f"{p.name}:{line} {name}" for p in MODULES + TESTS
              for line, name, noqa, read in imports(p) if not (noqa or read)]
     assert not found, "unused imports (use them, drop them, or mark # noqa: F401): " \
         + ", ".join(found)

@@ -74,8 +74,10 @@ def test_validation_rejects_bad_meshes():
     with pytest.raises(MeshError, match="outside"):
         SurfaceMesh(nodes, [[0, 1, 9]])
     tri_nodes = nodes[[0, 1, 3]]
-    with pytest.raises(MeshError, match="unit"):
+    with pytest.raises(MeshError, match="node 0 has a normal of length .*, not a unit vector"):
         SurfaceMesh(tri_nodes, [[0, 1, 2]], node_normals=np.ones((3, 3)))
+    with pytest.raises(MeshError, match=r"the mesh has 3 nodes but normals of shape \(2, 3\)"):
+        SurfaceMesh(tri_nodes, [[0, 1, 2]], node_normals=np.ones((2, 3)))
     # well-formed mesh passes
     SurfaceMesh(tri_nodes, [[0, 1, 2]], node_normals=np.tile([0.0, 0.0, 1.0], (3, 1)))
 
@@ -89,7 +91,7 @@ def test_validation_rejects_non_finite_coordinates(bad):
         SurfaceMesh(nodes, [[0, 1, 2]])
     nodes[2, 1] = 1.0
     normals[1, 2] = bad
-    with pytest.raises(MeshError, match="node normal 1 has a non-finite coordinate"):
+    with pytest.raises(MeshError, match="node 1 has a non-finite normal"):
         SurfaceMesh(nodes, [[0, 1, 2]], node_normals=normals)
 
 
