@@ -181,15 +181,23 @@ def _single_layer(g):
     return tf.sum(axis=0) - g.c * g.omega, tf
 
 
-def _hat_values(g, k0, k1, k2):
-    """Per-hat integrals from the (1, s1, s2)-weighted ones, three (B, P).
+def _about_vertex0(g, k0, k1, k2):
+    """The (1, s1, s2)-weighted integrals of (B, P) pairs as (1, s1 - ox,
+    s2 - oy)-weighted ones, (ox, oy) being vertex 0: the hats' own
+    variables, in which only panel constants remain."""
+    with np.errstate(all="ignore"):
+        return k0, k1 - g.ox * k0, k2 - g.oy * k0
 
-    Around the projection lam_m(s) = delta_m0 + hat_b[m] (s1 - ox)
-    + hat_c[m] (s2 - oy), (ox, oy) being vertex 0.
+
+def _hat_values(tab, k0, k1, k2):
+    """Per-hat integrals from the vertex-0 weighted ones of `_about_vertex0`,
+    three arrays of their shape, panels last.
+
+    lam_m(s) = delta_m0 + hat_b[m] (s1 - ox) + hat_c[m] (s2 - oy) is
+    linear, so the weights may also be sums over targets of one panel's.
     """
     with np.errstate(all="ignore"):
-        k1, k2 = k1 - g.ox * k0, k2 - g.oy * k0
-        vals = [g.tab.hat_b[m] * k1 + g.tab.hat_c[m] * k2 for m in range(3)]
+        vals = [tab.hat_b[m] * k1 + tab.hat_c[m] * k2 for m in range(3)]
         vals[0] += k0
     return vals
 
@@ -216,7 +224,25 @@ def _finish(parts, fallback):
     return (vals if len(parts) > 1 else vals[..., 0]), fallback
 
 
-def k_panel_entries(x, n_x, verts, table=None):
+def _degenerate(g):
+    """Pairs whose panel is degenerate at the pair scale."""
+    return np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale
+
+
+def _g_moments(g, g1):
+    """The G tail: int G (1, s1 - ox, s2 - oy) dS per pair, from int 1/R
+    dS = g1 and the edge integrals of R (see `_about_vertex0`)."""
+    with np.errstate(all="ignore"):
+        (sm, sp), r = g.ends, g.big_r
+        # twice int_edge R dl; the halving joins the exact -1 / (4 pi)
+        # scaling, which moves no bit
+        er = sp * r[_NEXT] - sm * r + _edge_limit(g, g.r0sq)
+        return _about_vertex0(g, g1 / -FOUR_PI,
+                              (g.uy * er).sum(axis=0) / (-2.0 * FOUR_PI),
+                              (g.ux * er).sum(axis=0) / (2.0 * FOUR_PI))
+
+
+def k_panel_entries(x, n_x, verts, table=None, g_out=None):
     """Closed-form int K(x_i, y) lam_m(y) dS over every (target, panel) pair.
 
     x: (B, 3) targets; n_x: their kernel normals, (B, 3), or D kernel
@@ -227,9 +253,16 @@ def k_panel_entries(x, n_x, verts, table=None):
     reroute (target in or near the panel plane, degenerate panel) whose
     vals are 0.  The geometry and moments of a pair are computed once;
     only their contraction with nu = (n.t1, n.t2, n.n_p) is per direction.
+
+    g_out, a (3, B, P) array, also receives G from the same pair
+    geometry: int G (1, s1 - ox, s2 - oy) dS per pair, which
+    `_hat_values` turns into g_panel_entries' vals bit for bit.  The
+    pairs g_panel_entries flags are those with a non-finite entry here
+    (NaN at a degenerate panel or grazing edge); the K-only flags are not.
     """
     g, (f1, f2), (nu1, nu2, nu3), fallback = _k_pairs(x, n_x, verts, table)
-    fallback |= np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale
+    degenerate = _degenerate(g)
+    fallback |= degenerate
     ux, uy = g.ux, g.uy
     with np.errstate(all="ignore"):
         g1, tf = _single_layer(g)
@@ -242,7 +275,10 @@ def k_panel_entries(x, n_x, verts, table=None):
         k = (nu3 * g.omega + nu1 * f1 + nu2 * f2,
              -cn * f1 - nu1 * d11 - nu2 * d12,
              -cn * f2 - nu1 * d12 - nu2 * d22)
-        hats = _hat_values(g, *(v / FOUR_PI for v in k))
+        hats = _hat_values(g.tab, *_about_vertex0(g, *(v / FOUR_PI for v in k)))
+    if g_out is not None:
+        np.stack(_g_moments(g, g1), out=g_out)
+        g_out[:, degenerate | g.flag] = np.nan
     vals, fallback = _finish([h[d] for d in range(len(cn)) for h in hats],
                              fallback)
     return vals.reshape(*fallback.shape, *np.shape(n_x)[1:-1], 3), fallback
@@ -269,12 +305,7 @@ def g_panel_entries(x, verts, table=None):
     panels here.
     """
     g = _pair_geometry(x, verts, table)
-    fallback = (np.abs(g.tab.det) <= 1e-14 * g.scale * g.scale) | g.flag
     with np.errstate(all="ignore"):
         g1, _ = _single_layer(g)
-        (sm, sp), r = g.ends, g.big_r
-        # int_edge R dl
-        er = 0.5 * (sp * r[_NEXT] - sm * r + _edge_limit(g, g.r0sq))
-        g2 = (g.uy * er).sum(axis=0), -(g.ux * er).sum(axis=0)
-    vals = _hat_values(g, -g1 / FOUR_PI, -g2[0] / FOUR_PI, -g2[1] / FOUR_PI)
-    return _finish(vals, fallback)
+    vals = _hat_values(g.tab, *_g_moments(g, g1))
+    return _finish(vals, _degenerate(g) | g.flag)

@@ -37,7 +37,9 @@ point the three axes): one pair pass serves them all, as only the final
 contraction of the panel moments depends on the direction.
 
 Each operator only reduces the blocks: it scatters hat values into
-matrix rows, sums rows, or contracts with the density.
+matrix rows, sums rows, or contracts with the density.  The collocation
+matrix's pass also sums the PinNode gauge's weights, from the G integrals
+that its K calls give out of the same pair geometry.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .batch import (
+    _hat_values,
     _panel_table,
     g_panel_entries,
     k_panel_entries,
@@ -115,12 +118,18 @@ class Regularization(Enum):
 @dataclass
 class BemSystem:
     """Dense collocation system; row/column order follows the mesh nodes,
-    meshes concatenated in the order given (offsets marks each start)."""
+    meshes concatenated in the order given (offsets marks each start).
+
+    pin_weights are the PinNode gauge's weights, the column means of
+    single_layer_matrix(meshes), which `assemble` sums in its own pair
+    pass; a system built without them solves with MeanZero only.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     offsets: tuple
     meshes: list = field(repr=False)
+    pin_weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -245,7 +254,40 @@ def _patch_projection(x, normal, form, centroid):
     return x + np.einsum("rb,rbk->rk", s, form.basis) + height[:, None] * normal
 
 
-def _pair_blocks(asm, points, normals, densities, on_nodes=False):
+class _PinWeights:
+    """single_layer_matrix(meshes).mean(axis=0), summed from the G values
+    that the assembly's K calls hand out.
+
+    Per panel, `moments` adds the batch's G integrals in the hats' own
+    variables (`_about_vertex0`) one node row at a time, and `scalar` the
+    hat values of the pairs the G rule flags, redone by integrate_g_panel,
+    one pair at a time in (node, panel) order.  Both orders are fixed, so
+    the block size changes no bit.
+    """
+
+    def __init__(self, asm):
+        self.asm = asm
+        self.moments = np.zeros((3, len(asm.tris)))
+        self.scalar = np.zeros((len(asm.tris), 3))
+
+    def add(self, start, g_vals):
+        """One block's G output (3, rows, panels), non-finite where flagged."""
+        flagged = ~np.isfinite(g_vals).all(axis=0)
+        for j, p in zip(*np.nonzero(flagged)):
+            self.scalar[p] += integrate_g_panel(
+                Panel(*self.asm.verts[p]), Target(self.asm.nodes[start + j]),
+                _HATS)
+        g_vals[:, flagged] = 0.0
+        for row in g_vals.transpose(1, 0, 2):
+            self.moments += row
+
+    def weights(self):
+        hats = np.stack(_hat_values(self.asm.table, *self.moments), axis=-1)
+        return np.bincount(self.asm.tris.ravel(), (hats + self.scalar).ravel(),
+                           minlength=len(self.asm.nodes)) / len(self.asm.nodes)
+
+
+def _pair_blocks(asm, points, normals, densities, on_nodes=False, gauge=None):
     """All (target, panel) integrals of one operator, a block of targets
     at a time.
 
@@ -263,6 +305,9 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
     start + j, panel p and densities[d] (vals[j, p, k, d] to direction k
     with D directions); `at` slices the incident pair arrays to the
     block's nodes (empty without `on_nodes`).
+
+    A `gauge` (_PinWeights, with the mesh nodes as targets and the hats as
+    densities) also takes each block's G values from its K call.
     """
     dirs = () if normals is None else normals.shape[1:-1]
     blk = max(1, _PAIR_BUDGET // max(len(asm.tris), 1))
@@ -272,10 +317,17 @@ def _pair_blocks(asm, points, normals, densities, on_nodes=False):
             vals, flagged = g_panel_entries(points[start:stop], asm.verts,
                                             table=asm.table)
             integrate = integrate_g_panel
-        else:
+        elif gauge is None:
             batch = k_row_sums if densities is _UNIT else k_panel_entries
             vals, flagged = batch(points[start:stop], normals[start:stop],
                                   asm.verts, table=asm.table)
+            integrate = integrate_k_panel
+        else:
+            g_vals = np.empty((3, stop - start, len(asm.tris)))
+            vals, flagged = k_panel_entries(points[start:stop],
+                                            normals[start:stop], asm.verts,
+                                            table=asm.table, g_out=g_vals)
+            gauge.add(start, g_vals)
             integrate = integrate_k_panel
         vals = vals.reshape(*flagged.shape, *dirs, len(densities))
         at = slice(0)
@@ -311,8 +363,10 @@ def _strategy_values(strategy, asm, densities):
     by its centroid value, which is 1/len(densities) for both density
     sets (three hats, or the unit); CentroidStar moves the centroid onto
     the surface by the probe (one batched Newton projection per probed
-    mesh) or else onto the node's osculating quadratic.
+    mesh) or else onto the node's osculating quadratic.  A strategy that
+    is not a SingularStrategy value raises ValueError.
     """
+    strategy = SingularStrategy(strategy)
     rows, panels = asm.inc_node, asm.inc_panel
     if strategy is SingularStrategy.Zero:
         return np.zeros((len(rows), len(densities)))
@@ -353,7 +407,8 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
     (stacked) to the probe's at those normals, else the fit.  Each must be
     finite, one per node, the normals unit (else MeshError).  Incident
     panels route through `strategy`; a node on any other panel raises
-    MeshError.
+    MeshError.  The same pair pass sums the PinNode gauge's weights from
+    each block's G values, kept as the system's pin_weights.
     """
     asm = _Assembly(meshes, normals, forms, probes)
     for mesh in asm.meshes:
@@ -368,13 +423,14 @@ def assemble(meshes, strategy=SingularStrategy.QSA, forms=None, *,
             raise ValueError(f"neumann_bc is non-finite at node {bad}: {rhs[bad]!r}")
     singular = _strategy_values(strategy, asm, _HATS)
     matrix = np.zeros((n_nodes, n_nodes))
+    gauge = _PinWeights(asm)
     for start, stop, vals, at in _pair_blocks(
-            asm, asm.nodes, asm.normals, _HATS, on_nodes=True):
+            asm, asm.nodes, asm.normals, _HATS, on_nodes=True, gauge=gauge):
         vals[asm.inc_node[at] - start, asm.inc_panel[at]] = singular[at]
         matrix[start:stop] = _scatter(asm, vals)
     jump = np.where(asm.mesh_of_node(np.arange(n_nodes)) == 0, -0.5, 0.5)
     matrix[np.diag_indices(n_nodes)] += jump
-    return BemSystem(matrix, rhs, asm.offsets, asm.meshes)
+    return BemSystem(matrix, rhs, asm.offsets, asm.meshes, gauge.weights())
 
 
 def sphere_forms(mesh: SurfaceMesh, radius=None):
@@ -448,16 +504,23 @@ def solve(system: BemSystem, regularization=Regularization.PinNode):
     The pure-Neumann operator has a one-dimensional kernel (the
     equilibrium density), so one scalar constraint is appended through a
     bordered square system.  PinNode pins the mean over nodes of the
-    single-layer potential to zero (the column means of
-    single_layer_matrix); MeanZero the area-weighted mean of gamma.
+    single-layer potential to zero, with the system's pin_weights (the
+    column means of single_layer_matrix, summed by `assemble`; a system
+    without them raises ValueError); MeanZero the area-weighted mean of
+    gamma.  A regularization that is not a Regularization value raises
+    ValueError.
     """
+    regularization = Regularization(regularization)
     a = system.matrix
     b = system.rhs
     n = system.n
     if regularization is Regularization.MeanZero:
         weights = np.concatenate([nodal_areas(m) for m in system.meshes])
+    elif system.pin_weights is None:
+        raise ValueError("PinNode needs the pin_weights that assemble stores; "
+                         "this system has none (solve it with MeanZero)")
     else:
-        weights = single_layer_matrix(system.meshes).mean(axis=0)
+        weights = system.pin_weights
     scale = np.abs(weights).sum() / n
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = a

@@ -193,9 +193,9 @@ def estimate_fundamental_forms(mesh: SurfaceMesh, node_normals=None) -> Fundamen
 
 
 def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:
-    """Signed-distance probe of a sphere."""
-    if not radius > 0.0:
-        raise ValueError("need radius > 0")
+    """Signed-distance probe of a sphere; the radius must be finite and > 0."""
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"need radius > 0 and finite, got {radius!r}")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
     def value(x):
@@ -216,9 +216,10 @@ def sphere_probe(radius: float = 1.0, center=None) -> SdfProbe:
 
 
 def torus_probe(major: float, minor: float) -> SdfProbe:
-    """Signed-distance probe of a z-axis torus: F = |(rho - R, z)| - r."""
-    if not 0.0 < minor < major:
-        raise ValueError("need 0 < minor < major")
+    """Signed-distance probe of a z-axis torus: F = |(rho - R, z)| - r,
+    for finite sizes 0 < r < R."""
+    if not 0.0 < minor < major < np.inf:
+        raise ValueError(f"need 0 < minor < major < inf, got {minor!r}, {major!r}")
 
     def parts(x):
         x = np.asarray(x, dtype=float)

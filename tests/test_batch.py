@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripanel.batch import (
+    _hat_values,
     _panel_table,
     g_panel_entries,
     k_panel_entries,
@@ -329,3 +330,28 @@ def test_prebuilt_table_changes_nothing():
         assert own[1].any()
         assert np.array_equal(own[0], shared[0])
         assert np.array_equal(own[1], shared[1])
+
+
+def test_k_call_hands_out_g_panel_entries_bit_for_bit():
+    # the G output rides on the K call's pair geometry: K's own (vals,
+    # fallback) do not move a bit, and the hat values of the G integrals
+    # are g_panel_entries', flags included (a degenerate panel, a point in
+    # a panel and on a vertex)
+    rng = np.random.default_rng(23)
+    verts = rng.uniform(-1, 1, (40, 3, 3))
+    verts[3, 2] = 2.0 * verts[3, 1] - verts[3, 0]
+    x = np.concatenate([rng.uniform(-1.5, 1.5, (5, 3)), verts[:2, 0],
+                        verts[5].mean(axis=0)[None]])
+    n_x = rng.normal(size=(len(x), 3))
+    n_x /= np.linalg.norm(n_x, axis=1, keepdims=True)
+    sx, sn, tris = sphere_around_torus()
+    for x, n_x, verts in ((x, n_x, verts), (sx, sn, sx[tris])):
+        g_out = np.empty((3, len(x), len(verts)))
+        got = k_panel_entries(x, n_x, verts, g_out=g_out)
+        for a, b in zip(got, k_panel_entries(x, n_x, verts)):
+            assert np.array_equal(a, b)
+        want, g_flagged = g_panel_entries(x, verts)
+        flagged = ~np.isfinite(g_out).all(axis=0)
+        assert np.array_equal(flagged, g_flagged)
+        hats = np.stack(_hat_values(_panel_table(verts), *g_out), axis=-1)
+        assert np.array_equal(hats[~flagged], want[~flagged])

@@ -22,6 +22,7 @@ from tripanel.bem import (
     nodal_areas,
     potential_gradient,
     probe_forms,
+    single_layer_matrix,
     solve,
     sphere_forms,
     sphere_identity_test,
@@ -44,7 +45,11 @@ from tripanel.mesh_io import (
     generate_torus_mesh,
 )
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_triangle
-from tripanel.panel_integrals import PanelPolynomial, integrate_k_panel
+from tripanel.panel_integrals import (
+    PanelPolynomial,
+    integrate_g_panel,
+    integrate_k_panel,
+)
 from tripanel.qsa import foot_point, qsa_on_boundary
 
 
@@ -53,6 +58,19 @@ HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 
 def unit_normals(mesh):
     return mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
+
+
+def sphere_torus_problem():
+    """The ico-1 sphere around the 8 x 4 torus with cos-phi data."""
+    return neumann_problem(generate_sphere_mesh(1), cos_phi,
+                           probe=sphere_probe(1.0), torus=(0.4, 0.2, 8, 4))
+
+
+def ellipsoid_problem():
+    """A bare ico-1 ellipsoid with asymmetric Neumann data."""
+    base = generate_sphere_mesh(1)
+    mesh = SurfaceMesh(base.nodes * np.array([1.0, 0.7, 1.3]), base.triangles)
+    return neumann_problem(mesh, lambda x: x[0] + x[1] ** 2)
 
 
 def test_nodal_areas_sum_to_mesh_area():
@@ -601,15 +619,92 @@ def test_pin_node_gauge_zeroes_the_node_mean_potential():
     # the gauge's definition, checked through evaluate_potential: on an
     # ellipsoid with asymmetric data the two gauges give different
     # potentials, and only PinNode has a zero mean over the nodes
-    base = generate_sphere_mesh(1)
-    mesh = SurfaceMesh(base.nodes * np.array([1.0, 0.7, 1.3]), base.triangles)
-    meshes, system, _ = neumann_problem(mesh, lambda x: x[0] + x[1] ** 2)
+    meshes, system, _ = ellipsoid_problem()
     means = {}
     for gauge in Regularization:
-        u = evaluate_potential(meshes, solve(system, gauge), mesh.nodes)
+        u = evaluate_potential(meshes, solve(system, gauge), meshes[0].nodes)
         means[gauge] = u.mean() / np.abs(u).max()
     assert abs(means[Regularization.PinNode]) <= 1e-12
     assert abs(means[Regularization.MeanZero]) > 1e-6
+
+
+@pytest.mark.parametrize("problem", [sphere_torus_problem, ellipsoid_problem],
+                         ids=["sphere-torus", "ellipsoid"])
+def test_pin_weights_are_the_single_layer_column_means(problem):
+    # assemble sums them from its own K calls' G values; the independent
+    # single-layer matrix gives them again
+    meshes, system, _ = problem()
+    want = single_layer_matrix(meshes).mean(axis=0)
+    assert np.abs(system.pin_weights - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_pin_node_solve_makes_no_pair_pass(monkeypatch):
+    # neither assemble nor solve builds the single-layer matrix or calls
+    # the G batch engine: the gauge comes out of the K pair pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second pair pass")
+
+    for name in ("single_layer_matrix", "g_panel_entries"):
+        monkeypatch.setattr(bem, name, refuse)
+    _, system, _ = sphere_torus_problem()
+    gamma = solve(system, Regularization.PinNode)
+    r = system.rhs - system.matrix @ gamma
+    assert np.linalg.norm(r - r.mean()) <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+def test_g_flagged_pairs_take_integrate_g_panel_in_the_gauge(monkeypatch):
+    # a pair the G rule flags is redone on the scalar path, as in
+    # single_layer_matrix: flag every pair of panel 0 by hand
+    calls = []
+
+    def batch(*args, g_out=None, **kwargs):
+        out = k_panel_entries(*args, g_out=g_out, **kwargs)
+        if g_out is not None:
+            g_out[:, :, 0] = np.nan
+        return out
+
+    def scalar(panel, target, p=None):
+        calls.append(panel.verts)
+        return integrate_g_panel(panel, target, p)
+
+    monkeypatch.setattr(bem, "k_panel_entries", batch)
+    monkeypatch.setattr(bem, "integrate_g_panel", scalar)
+    meshes, system, _ = sphere_torus_problem()
+    panel0 = meshes[0].nodes[meshes[0].triangles[0]]
+    assert len(calls) == system.n
+    assert all(np.array_equal(v, panel0) for v in calls)
+    want = single_layer_matrix(meshes).mean(axis=0)
+    assert np.abs(system.pin_weights - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_hand_built_system_has_no_pin_node_gauge():
+    mesh = generate_sphere_mesh(0)
+    n = mesh.n_nodes
+    system = BemSystem(np.eye(n), np.ones(n), (0,), [mesh])
+    for args in ((), (Regularization.PinNode,)):
+        with pytest.raises(ValueError, match="pin_weights"):
+            solve(system, *args)
+    assert np.isfinite(solve(system, Regularization.MeanZero)).all()
+
+
+def test_strategies_and_gauges_are_taken_by_value_or_raise():
+    # a value of the enum selects its member; anything else fails loudly
+    # rather than falling through to the centroid rule or PinNode
+    mesh = generate_sphere_mesh(1)
+    forms = sphere_forms(mesh)
+    qsa = assemble([mesh], SingularStrategy.QSA, [forms]).matrix
+    assert np.array_equal(assemble([mesh], "qsa", [forms]).matrix, qsa)
+    assert (sphere_identity_test(mesh, "qsa", forms=forms)[0]
+            == sphere_identity_test(mesh, SingularStrategy.QSA, forms=forms)[0])
+    for call in (lambda: assemble([mesh], "QSA", [forms]),
+                 lambda: sphere_identity_test(mesh, "quadrature", forms=forms)):
+        with pytest.raises(ValueError, match="SingularStrategy"):
+            call()
+    _, system, _ = ellipsoid_problem()
+    assert np.array_equal(solve(system, "mean_zero"),
+                          solve(system, Regularization.MeanZero))
+    with pytest.raises(ValueError, match="Regularization"):
+        solve(system, "mean-zero")
 
 
 def test_flagged_pairs_take_one_scalar_call(monkeypatch):
@@ -649,7 +744,8 @@ def test_block_size_changes_nothing(monkeypatch):
                                             torus=(0.4, 0.2, 8, 4))
         gamma = np.random.default_rng(3).normal(size=system.n)
         points = np.random.default_rng(4).uniform(-0.9, 0.9, (30, 3))
-        return (system.matrix,
+        return (system.matrix, system.pin_weights,
+                solve(system, Regularization.PinNode),
                 *identity_row_parts(meshes[1])[:2],
                 evaluate_potential(meshes, gamma, points),
                 potential_gradient(meshes, gamma, points))

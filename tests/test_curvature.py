@@ -79,6 +79,17 @@ def test_sphere_probe_needs_positive_radius(radius):
         sphere_probe(radius)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sphere_probe(math.inf),
+    lambda: torus_probe(math.inf, 0.2),
+    lambda: torus_probe(math.inf, math.inf),
+], ids=["sphere-inf", "torus-major-inf", "torus-both-inf"])
+def test_probes_need_finite_sizes(make):
+    # sphere_forms' rule: an infinite size would give an infinite value
+    with pytest.raises(ValueError, match="finite|< inf"):
+        make()
+
+
 def test_shape_operator_plane_is_zero():
     n = np.array([1.0, 2.0, -0.5])
     probe = SdfProbe(lambda x: n @ x + 0.3,
