@@ -72,7 +72,7 @@ from .curvature import (
 )
 from .errors import ConvergenceFailure, DivergentIntegral, MeshError
 from .geometry import Panel, Target
-from .mesh_io import (SurfaceMesh, _unit_normals, generate_torus_mesh,
+from .mesh_io import (SurfaceMesh, _count, _unit_normals, generate_torus_mesh,
                       golden_spiral, require_closed_outward)
 from .panel_integrals import (
     FOUR_PI,
@@ -89,13 +89,14 @@ from .qsa import qsa_on_boundary  # noqa: F401
 # matrix entry, or the unit density of an identity row sum
 _HATS = [PanelPolynomial.linear(np.eye(3)[j]) for j in range(3)]
 _UNIT = [PanelPolynomial.constant(1.0)]
-# rows x panels per vectorized block, sized for the cache: the batch
-# engine keeps a few dozen temporaries of 6 doubles per pair alive, ~96 kB
-# each at 2,000 pairs, so a block's working set stays near a 2 MB L2.  On a
-# 2-vCPU Xeon (2 MB L2 per core), blocks of 1,500-2,000 pairs ran the
-# fib-150 identity row sums and the torus G and potential passes 25-40%
-# faster than one whole-problem block (150,000 pairs, the old value), and
-# 3,000-6,000 pairs gave back about half of that.
+# rows x panels per vectorized block.  On a 2-vCPU Xeon, blocks of
+# 1,500-2,000 pairs ran the fib-150 identity row sums and the torus G and
+# potential passes 25-40% faster than one whole-problem block (150,000
+# pairs, the old value), and 3,000-6,000 pairs gave back about half of
+# that.  On an ico-4 sphere, larger blocks lost mainly to page faults, not
+# to the 2 MB L2 cache (ROADMAP item 4): the batch engine's few dozen numpy
+# temporaries are mapped and unmapped on every call, and with glibc told
+# to keep freed memory, 20,480-pair blocks beat 5,120-pair ones.
 _PAIR_BUDGET = 2_000
 
 
@@ -475,21 +476,18 @@ def identity_row_parts(mesh: SurfaceMesh, normals=None):
     return base, incident, asm.normals
 
 
-def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None,
-                         normals=None, parts=None):
+def sphere_identity_test(mesh: SurfaceMesh, strategy, forms=None, parts=None):
     """Per-node relative error of sum_panels int K dS against 0.5.
 
     The exact value for a target on a closed surface with outward normal
     is +1/2 (half the solid angle seen from the surface).  Returns
-    (max_error, per_node_errors).  `parts` accepts the output of
-    identity_row_parts to share the strategy-independent work, and with
-    them its normals: passing `normals` too raises ValueError.  The forms
-    default to the fit at the normals, as `assemble`'s do.
+    (max_error, per_node_errors).  `parts` is the output of
+    identity_row_parts, the strategy-independent work, which carries the
+    node normals too; left out, it is identity_row_parts(mesh).  The
+    forms default to the fit at those normals, as `assemble`'s do.
     """
-    if parts is not None and normals is not None:
-        raise ValueError("pass normals or parts, not both: parts hold their normals")
     if parts is None:
-        parts = identity_row_parts(mesh, normals)
+        parts = identity_row_parts(mesh)
     base, _, nrm = parts
     asm = _Assembly(mesh, [nrm], None if forms is None else [forms])
     vals = _strategy_values(strategy, asm, _UNIT)
@@ -593,11 +591,13 @@ def enclosing_flux(meshes, gamma, radius=0.7, center=None, n=400):
     """Net flux of grad u through a sphere, by golden-spiral quadrature.
 
     Zero (to discretization error) whenever the sphere encloses only
-    insulating interfaces, since u is harmonic between the layers.  n is
-    the number of quadrature points, at least 1 (else ValueError).
+    insulating interfaces, since u is harmonic between the layers.  The
+    radius must be finite and > 0, and n, the number of quadrature
+    points, an integer >= 1 (else ValueError).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    radius = float(radius)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"need a finite radius > 0, got {radius!r}")
     center = np.zeros(3) if center is None else np.asarray(center, dtype=float)
     dirs = golden_spiral(n)
     grad = potential_gradient(meshes, gamma, center + radius * dirs)
@@ -611,16 +611,16 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     Samples the interface at panel-centroid projections onto the true
     surface (strictly off the flat discrete layer, so the gradient there
     is single-valued), at n_samples panels spread evenly over the whole
-    panel list (every panel when there are fewer), and reports
-    |grad u . n| against the field.  The per-point ratio
-    |grad u . n| / |grad u| blows up at flow stagnation points where the
-    whole field vanishes, so the stable figure of merit scales by the
-    strongest sampled field instead.  n_samples < 1, or no second
-    mesh, raises ValueError.
+    panel list (every panel when there are fewer).  Returns a dict of the
+    sample "points" (m, 3) and their "field_scale_ratio" (m,), the
+    normal flux |grad u . n| over the strongest sampled |grad u|.  The
+    per-point ratio |grad u . n| / |grad u| would blow up at flow
+    stagnation points, where the whole field vanishes; scaling by the
+    strongest sampled field keeps the figure of merit stable.  n_samples
+    not an integer >= 1, or no second mesh, raises ValueError.
     """
     meshes = _as_mesh_list(meshes)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    n_samples = _count(n_samples, "n_samples", 1)
     if len(meshes) < 2:
         raise ValueError(f"meshes has {len(meshes)} mesh(es); the interface is "
                          "the second mesh, meshes[1]")
@@ -632,14 +632,8 @@ def torus_flux_diagnostic(meshes, gamma, probe, n_samples=80):
     nstar = _probe_normals(probe, stars)
     grad = potential_gradient(meshes, gamma, stars)
     normal_flux = np.abs((grad * nstar).sum(1))
-    mag = np.linalg.norm(grad, axis=1)
-    return {
-        "points": stars,
-        "grad": grad,
-        "normal_flux": normal_flux,
-        "field_scale_ratio": normal_flux / mag.max(),
-        "per_point_ratio": normal_flux / mag,
-    }
+    return {"points": stars,
+            "field_scale_ratio": normal_flux / np.linalg.norm(grad, axis=1).max()}
 
 
 def x1_flux(x):
@@ -657,15 +651,15 @@ def neumann_problem(outer, bc, *, probe=None, torus=None,
                     strategy=SingularStrategy.QSA):
     """Interior Neumann problem du/dn = bc(x) on the mesh `outer` (true
     surface `probe`, or None), optionally around an insulating torus
-    (major, minor, n_u, n_v) with its exact probe.  Returns (meshes,
-    system, probes).
+    (major, minor, n_u, n_v; the counts integers) with its exact probe.
+    Returns (meshes, system, probes).
 
     The node normals and forms follow `assemble`'s rule.
     """
     meshes, probes = [outer], [probe]
     if torus is not None:
         major, minor, n_u, n_v = torus
-        meshes.append(generate_torus_mesh(major, minor, int(n_u), int(n_v)))
+        meshes.append(generate_torus_mesh(major, minor, n_u, n_v))
         probes.append(torus_probe(major, minor))
     system = assemble(meshes, strategy, probes=probes, neumann_bc=bc)
     return meshes, system, probes

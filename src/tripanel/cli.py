@@ -102,14 +102,28 @@ def _named_probe(name: str) -> SdfProbe:
     raise ValueError(f"unknown probe {name!r} (try sphere, plane, torus:R:r)")
 
 
+# --poly: the unit density, or the panel coordinate y_x or y_y (an axis)
+_POLYS = {"1": None, "yx": 0, "yy": 1}
+
+
 def _poly_for(name: str, verts) -> PanelPolynomial | None:
-    if name == "1":
-        return None
-    if name == "yx":
-        return PanelPolynomial.linear(np.asarray(verts, dtype=float)[:, 0])
-    if name == "yy":
-        return PanelPolynomial.linear(np.asarray(verts, dtype=float)[:, 1])
-    raise ValueError(f"unknown polynomial {name!r} (try 1, yx, yy)")
+    axis = _POLYS[name]
+    return None if axis is None else PanelPolynomial.linear(
+        np.asarray(verts, dtype=float)[:, axis])
+
+
+def _cli_names(enum) -> list:
+    """An enum's values with "_" written as "-", undone before the call."""
+    return [member.value.replace("_", "-") for member in enum]
+
+
+def _torus_arg(values):
+    """--torus R r NU NV, read as floats: the counts must be whole numbers."""
+    major, minor, n_u, n_v = values
+    if not (n_u.is_integer() and n_v.is_integer()):
+        raise ValueError(f"--torus NU and NV must be whole numbers, got "
+                         f"{n_u!r} and {n_v!r}")
+    return major, minor, int(n_u), int(n_v)
 
 
 # --------------------------------------------------------------- commands
@@ -219,14 +233,6 @@ def cmd_sweep_singular(args) -> int:
     return 0
 
 
-_STRATEGIES = {
-    "qsa": SingularStrategy.QSA,
-    "zero": SingularStrategy.Zero,
-    "centroid": SingularStrategy.Centroid,
-    "centroid-star": SingularStrategy.CentroidStar,
-}
-
-
 def cmd_sphere_test(args) -> int:
     meshes = [(f"ico-s{s}", generate_sphere_mesh(s)) for s in args.subdivisions]
     meshes += [(f"fib-{n}", generate_fibonacci_sphere_mesh(n)) for n in args.nodes]
@@ -238,8 +244,8 @@ def cmd_sphere_test(args) -> int:
         parts = identity_row_parts(mesh, normals)
         forms = sphere_forms(mesh, radius=1.0)
         for name in args.strategies:
-            mx, _ = sphere_identity_test(mesh, _STRATEGIES[name], forms=forms,
-                                         parts=parts)
+            mx, _ = sphere_identity_test(mesh, name.replace("-", "_"),
+                                         forms=forms, parts=parts)
             rows.append((name, mesh.n_nodes, float(mx)))
             print(f"{label:10s} {name:13s} N={mesh.n_nodes:6d} "
                   f"max_rel_error={mx:.6e}")
@@ -253,8 +259,7 @@ def cmd_curvature(args) -> int:
     if args.mesh:
         mesh = load_mesh(args.mesh)
     elif args.torus:
-        major, minor, n_u, n_v = args.torus
-        mesh = generate_torus_mesh(major, minor, int(n_u), int(n_v))
+        mesh = generate_torus_mesh(*_torus_arg(args.torus))
     else:
         mesh = generate_sphere_mesh(args.sphere_subdivisions)
     # the fit at estimated normals; the exact forms at the probe's
@@ -279,6 +284,7 @@ _BCS = {"x1-flux": x1_flux, "cos-phi": cos_phi}
 
 
 def cmd_bem(args) -> int:
+    torus = _torus_arg(args.torus) if args.torus else None
     if args.mesh:
         # file-backed boundary: no true surface to probe
         outer, probe = load_mesh(args.mesh), None
@@ -297,11 +303,10 @@ def cmd_bem(args) -> int:
         shift = net / weights.sum()
 
     meshes, system, probes = neumann_problem(
-        outer, lambda x: bc(x) - shift, probe=probe, torus=args.torus,
-        strategy=_STRATEGIES[args.strategy])
-    t_probe = probes[1] if args.torus else None
-    gamma = solve(system, Regularization.PinNode
-                  if args.regularization == "pin-node" else Regularization.MeanZero)
+        outer, lambda x: bc(x) - shift, probe=probe, torus=torus,
+        strategy=args.strategy.replace("-", "_"))
+    t_probe = probes[1] if torus else None
+    gamma = solve(system, args.regularization.replace("-", "_"))
     residual = float(np.linalg.norm(system.matrix @ gamma - system.rhs)
                      / max(np.linalg.norm(system.rhs), 1e-300))
 
@@ -351,7 +356,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--normal", type=float, nargs=3, metavar="F",
                    help="target normal for K; qsa takes the probe's and "
                         "checks one given against it")
-    p.add_argument("--poly", choices=["1", "yx", "yy"], default="1")
+    p.add_argument("--poly", choices=list(_POLYS), default="1")
     p.add_argument("--sdf", default="sphere",
                    help="surface probe for qsa: sphere, plane, torus:R:r")
     p.add_argument("--json", help="also write a JSON record here")
@@ -364,7 +369,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--coord-range", type=float, nargs=2, default=[-0.01, 0.01])
     p.add_argument("--c-range", type=float, nargs=2, default=[-0.01, 0.01])
     p.add_argument("--kernel", choices=["K", "G"], default="K")
-    p.add_argument("--poly", choices=["1", "yx", "yy"], default="1")
+    p.add_argument("--poly", choices=list(_POLYS), default="1")
     p.add_argument("--oracle-tol", type=float, default=1e-10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_near_singular)
@@ -377,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-angle", type=float, default=5.0,
                    help="resample panels whose smallest angle (degrees) is "
                         "below this; the h^2 constant degrades on slivers")
-    p.add_argument("--poly", choices=["1", "yx", "yy"], default="1")
+    p.add_argument("--poly", choices=list(_POLYS), default="1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_singular)
 
@@ -387,7 +392,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--nodes", type=int, nargs="*", default=[],
                    help="Fibonacci-mesh node counts")
     p.add_argument("--strategies", nargs="+",
-                   choices=sorted(_STRATEGIES), default=["qsa", "zero", "centroid"])
+                   choices=sorted(_cli_names(SingularStrategy)),
+                   default=["qsa", "zero", "centroid"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sphere_test)
 
@@ -407,8 +413,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--torus", type=float, nargs=4,
                    metavar=("R", "r", "NU", "NV"))
     p.add_argument("--bc", choices=sorted(_BCS), default="x1-flux")
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="qsa")
-    p.add_argument("--regularization", choices=["pin-node", "mean-zero"],
+    p.add_argument("--strategy", choices=sorted(_cli_names(SingularStrategy)),
+                   default="qsa")
+    p.add_argument("--regularization", choices=_cli_names(Regularization),
                    default="pin-node")
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--out-json", required=True)

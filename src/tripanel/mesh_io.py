@@ -7,6 +7,7 @@ convention); `signed_volume` is the diagnostic for checking it.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,6 +99,18 @@ def _unit_normals(normals, n_nodes, where="the mesh", first=0) -> np.ndarray:
     return normals
 
 
+def _count(value, name, minimum) -> int:
+    """value as an int, else ValueError naming it: a count must be an
+    integer that operator.index accepts (8.0 is not) and >= minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count!r}")
+    return count
+
+
 def load_mesh(path, format: str | None = None) -> SurfaceMesh:
     """Load a SurfaceMesh from an OFF or JSON file.
 
@@ -178,8 +191,7 @@ def generate_sphere_mesh(subdivisions: int) -> SurfaceMesh:
 
     Node count is 10 * 4**subdivisions + 2; orientation is outward.
     """
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    subdivisions = _count(subdivisions, "subdivisions", 0)
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = [tuple(f) for f in _ICO_FACES]
     for _ in range(subdivisions):
@@ -203,7 +215,9 @@ def generate_sphere_mesh(subdivisions: int) -> SurfaceMesh:
 
 def golden_spiral(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (n, 3): equal steps in z from pole to
-    pole, turning by the golden angle 2 pi / golden^2 between points."""
+    pole, turning by the golden angle 2 pi / golden^2 between points; n is
+    a count >= 1."""
+    n = _count(n, "n", 1)
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = 2.0 * math.pi * i / _GOLDEN ** 2
@@ -217,8 +231,7 @@ def generate_fibonacci_sphere_mesh(n_nodes: int) -> SurfaceMesh:
     Avoids the thin polar slivers of a latitude-longitude construction;
     7202 nodes give the 14400-triangle mesh of the identity benchmark.
     """
-    if n_nodes < 4:
-        raise ValueError("need at least 4 nodes")
+    n_nodes = _count(n_nodes, "n_nodes", 4)
     from scipy.spatial import ConvexHull
 
     nodes = golden_spiral(n_nodes)
@@ -240,8 +253,7 @@ def generate_torus_mesh(major: float, minor: float, n_u: int, n_v: int) -> Surfa
     """
     if not 0.0 < minor < major:
         raise ValueError("need 0 < minor < major")
-    if n_u < 3 or n_v < 3:
-        raise ValueError("need n_u >= 3 and n_v >= 3")
+    n_u, n_v = _count(n_u, "n_u", 3), _count(n_v, "n_v", 3)
     nodes = np.empty((n_u * n_v, 3))
     normals = np.empty_like(nodes)
     for i in range(n_u):

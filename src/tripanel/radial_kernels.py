@@ -14,9 +14,9 @@ when |c*q| is tiny.  r, c and d are Python floats and every primitive is
 plain `math`.  `radial_primitives` evaluates S, Q, the angle, the log and
 the arctan term once at a radius for every kind requested; the moment
 walk calls it once per critical radius and once at each end of an edge
-side's run, and takes the differences itself.  `definite_radials` and its
-one-kind view `definite_radial` are primitive(r_hi) - primitive(r_lo) from
-the same evaluation, so each formula lives in one place (`_primitives`).
+side's run, and takes the differences itself.  `definite_radial` is one
+kind's primitive(r_hi) - primitive(r_lo) from the same evaluation, so
+each formula lives in one place (`_primitives`).
 Domains are validated, and DivergentIntegral is raised where the
 antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
 """
@@ -170,23 +170,17 @@ def radial_primitives(kinds, r: float, c: float, d: float) -> list:
     return _primitives(kinds, _radius(kinds, r, c, d), c, d)
 
 
-def definite_radials(kinds, r_lo: float, r_hi: float, c: float, d: float) -> list:
-    """primitive(r_hi) - primitive(r_lo) of each kind in the tuple kinds;
-    the values equal definite_radial's, which is this function on one kind.
-    """
-    if r_hi < r_lo:
-        raise ValueError(f"empty radial interval [{r_lo!r}, {r_hi!r}]")
-    if r_hi == r_lo:
-        return [0.0] * len(kinds)
-    hi = radial_primitives(kinds, r_hi, c, d)
-    return [a - b for a, b in zip(hi, radial_primitives(kinds, r_lo, c, d))]
-
-
 def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,
                     c: float, d: float) -> float:
     """primitive(r_hi) - primitive(r_lo) of one kind; the sign of c is
     immaterial, and |c| and d below 1e-14 snap to the degenerate branches."""
-    return definite_radials((RadialKind(kind),), r_lo, r_hi, c, d)[0]
+    kinds = (RadialKind(kind),)
+    if r_hi < r_lo:
+        raise ValueError(f"empty radial interval [{r_lo!r}, {r_hi!r}]")
+    if r_hi == r_lo:
+        return 0.0
+    return (radial_primitives(kinds, r_hi, c, d)[0]
+            - radial_primitives(kinds, r_lo, c, d)[0])
 
 
 def radial_integrand(kind: RadialKind, r: float, c: float, d: float) -> float:

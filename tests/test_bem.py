@@ -43,6 +43,7 @@ from tripanel.mesh_io import (
     generate_fibonacci_sphere_mesh,
     generate_sphere_mesh,
     generate_torus_mesh,
+    golden_spiral,
 )
 from tripanel.oracle import REFERENCE_TRIANGLE, adaptive_triangle
 from tripanel.panel_integrals import (
@@ -345,21 +346,6 @@ def test_sphere_identity_strategies_at_s2():
     assert abs(mx2 - errs[SingularStrategy.QSA]) < 1e-12
 
 
-def test_sphere_identity_test_takes_normals_or_parts_not_both():
-    # the parts carry the normals their row sums used; flipped normals
-    # passed beside them would be dropped without a word
-    mesh = generate_sphere_mesh(1)
-    normals = unit_normals(mesh)
-    parts = identity_row_parts(mesh, normals)
-    for given in (normals, -normals):
-        with pytest.raises(ValueError, match="normals or parts, not both"):
-            sphere_identity_test(mesh, SingularStrategy.Zero, normals=given,
-                                 parts=parts)
-    by_parts = sphere_identity_test(mesh, SingularStrategy.Zero, parts=parts)[1]
-    by_normals = sphere_identity_test(mesh, SingularStrategy.Zero, normals=normals)[1]
-    assert np.array_equal(by_parts, by_normals)
-
-
 @pytest.mark.parametrize("mesh", [generate_sphere_mesh(2),
                                   generate_fibonacci_sphere_mesh(150)],
                          ids=["ico2", "fib150"])
@@ -368,8 +354,9 @@ def test_identity_errors_match_assembled_row_sums(mesh):
     # (with the -1/2 jump) are the same pairs through the same routes
     normals = unit_normals(mesh)
     forms = sphere_forms(mesh)
+    parts = identity_row_parts(mesh, normals)
     for strat in SingularStrategy:
-        _, per = sphere_identity_test(mesh, strat, forms, normals=normals)
+        _, per = sphere_identity_test(mesh, strat, forms, parts=parts)
         a = assemble([mesh], strat, [forms], normals=[normals]).matrix
         assert np.abs(per - np.abs(a.sum(axis=1)) / 0.5).max() <= 1e-12
 
@@ -463,12 +450,41 @@ def test_torus_flux_diagnostic_samples_every_ring():
      "n_samples must be at least 1, got 0"),
     (lambda m, g, p: torus_flux_diagnostic(m[:1], g[:m[0].n_nodes], p),
      r"meshes has 1 mesh\(es\); the interface is the second mesh"),
-], ids=["flux-n-0", "diagnostic-n-samples-0", "diagnostic-one-mesh"])
+    (lambda m, g, p: enclosing_flux(m, g, n=2.5), "n must be an integer, got 2.5"),
+    (lambda m, g, p: torus_flux_diagnostic(m, g, p, n_samples=2.5),
+     "n_samples must be an integer, got 2.5"),
+    (lambda m, g, p: enclosing_flux(m, g, radius=0.0), "need a finite radius > 0"),
+    (lambda m, g, p: enclosing_flux(m, g, radius=-0.7), "need a finite radius > 0"),
+    (lambda m, g, p: enclosing_flux(m, g, radius=math.inf), "need a finite radius > 0"),
+    (lambda m, g, p: enclosing_flux(m, g, radius=math.nan), "need a finite radius > 0"),
+], ids=["flux-n-0", "diagnostic-n-samples-0", "diagnostic-one-mesh",
+        "flux-n-float", "diagnostic-n-samples-float", "flux-radius-0",
+        "flux-radius-negative", "flux-radius-inf", "flux-radius-nan"])
 def test_flux_diagnostics_reject_bad_arguments(call, match):
     meshes = [generate_sphere_mesh(1), generate_torus_mesh(0.4, 0.2, 10, 5)]
     gamma = np.ones(sum(m.n_nodes for m in meshes))
     with pytest.raises(ValueError, match=match):
         call(meshes, gamma, torus_probe(0.4, 0.2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: generate_sphere_mesh(1.5), "subdivisions must be an integer, got 1.5"),
+    (lambda: generate_sphere_mesh(-1), "subdivisions must be at least 0, got -1"),
+    (lambda: generate_fibonacci_sphere_mesh(10.5),
+     "n_nodes must be an integer, got 10.5"),
+    (lambda: generate_fibonacci_sphere_mesh(3), "n_nodes must be at least 4, got 3"),
+    (lambda: generate_torus_mesh(0.4, 0.2, 8.5, 4), "n_u must be an integer, got 8.5"),
+    (lambda: generate_torus_mesh(0.4, 0.2, 8, 4.0), "n_v must be an integer, got 4.0"),
+    (lambda: golden_spiral(2.5), "n must be an integer, got 2.5"),
+    (lambda: neumann_problem(generate_sphere_mesh(0), x1_flux,
+                             torus=(0.4, 0.2, 8.7, 4)),
+     "n_u must be an integer, got 8.7"),
+], ids=["sphere-float", "sphere-negative", "fibonacci-float", "fibonacci-3",
+        "torus-n-u-float", "torus-n-v-whole-float", "spiral-float",
+        "neumann-torus-float"])
+def test_counts_must_be_integers(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf],

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tripanel.cli import main
+from tripanel.bem import Regularization, SingularStrategy, nodal_areas
+from tripanel.cli import _build_parser, main
 from tripanel.curvature import FundamentalForm, estimate_fundamental_forms
 from tripanel.geometry import Panel, Target, rotation_to_z
 from tripanel.mesh_io import (SurfaceMesh, generate_sphere_mesh, generate_torus_mesh,
@@ -285,6 +287,56 @@ def test_bem_command_sphere_smoke(capsys, tmp_path):
     assert all(math.isnan(v) for v in corner)
     # x1 flux drives a dipole-like field: u should change sign across x=0
     assert min(inside) < 0.0 < max(inside)
+
+
+def _choices(command, option):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if option in a.option_strings)
+
+
+@pytest.mark.parametrize("command, option, enum", [
+    ("sphere-test", "--strategies", SingularStrategy),
+    ("bem", "--strategy", SingularStrategy),
+    ("bem", "--regularization", Regularization),
+])
+def test_cli_choices_are_the_enum_values(command, option, enum):
+    # every member is a choice, and every choice selects its own member
+    choices = _choices(command, option)
+    assert len(choices) == len(enum)
+    assert {enum(name.replace("-", "_")) for name in choices} == set(enum)
+    for member in enum:
+        assert member.value.replace("_", "-") in choices
+
+
+def test_bem_command_mean_zero_centroid_star(capsys, tmp_path):
+    js, csv = tmp_path / "u.json", tmp_path / "u.csv"
+    code, _, _ = run(["bem", "--sphere-subdivisions", "1", "--grid", "5",
+                      "--regularization", "mean-zero",
+                      "--strategy", "centroid-star",
+                      "--out-json", str(js), "--out-csv", str(csv)], capsys)
+    assert code == 0
+    doc = json.loads(js.read_text())
+    assert doc["strategy"] == "centroid-star" and doc["residual"] < 1e-8
+    # the mean-zero gauge: the area-weighted mean of gamma vanishes
+    weights = nodal_areas(generate_sphere_mesh(1))
+    gamma = np.array(doc["gamma"])
+    assert abs(gamma @ weights) <= 1e-12 * (np.abs(gamma) @ weights)
+
+
+@pytest.mark.parametrize("command", [
+    ["curvature", "--out", "{d}/k.csv"],
+    ["bem", "--sphere-subdivisions", "0", "--out-json", "{d}/u.json",
+     "--out-csv", "{d}/u.csv"],
+], ids=["curvature", "bem"])
+@pytest.mark.parametrize("counts", [("8.7", "4"), ("8", "4.2"), ("8", "nan")])
+def test_torus_counts_must_be_whole_numbers(capsys, tmp_path, command, counts):
+    argv = [a.format(d=tmp_path) for a in command]
+    code, _, err = run([*argv, "--torus", "0.4", "0.2", *counts], capsys)
+    assert code == 1
+    assert "--torus NU and NV must be whole numbers" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("fmt", ["json", "off"])

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripanel.errors import DivergentIntegral
-from tripanel.radial_kernels import RadialKind, definite_radial, radial_integrand
+from tripanel.radial_kernels import (RadialKind, definite_radial, radial_integrand,
+                                     radial_primitives)
 
 ALL_KINDS = list(RadialKind)
 
@@ -309,13 +310,17 @@ BOUNDARIES = {
 }
 
 
+def _radial_differences(kinds, r_lo, r_hi, c, d):
+    hi = radial_primitives(kinds, r_hi, c, d)
+    return [a - b for a, b in zip(hi, radial_primitives(kinds, r_lo, c, d))]
+
+
 @pytest.mark.parametrize("kinds", _moment_kind_sets(),
                          ids=lambda ks: "-".join(k.value for k in ks))
 def test_boundary_evaluation_is_definite_radial_per_kind(kinds):
-    from tripanel.radial_kernels import definite_radials
-
+    # the moment walk's multi-kind evaluation at both ends of an interval
     for name, (r_lo, r_hi, c, d) in BOUNDARIES.items():
-        got = definite_radials(kinds, r_lo, r_hi, c, d)
+        got = _radial_differences(kinds, r_lo, r_hi, c, d)
         want = [definite_radial(k, r_lo, r_hi, c, d) for k in kinds]
         assert [type(v) for v in got] == [float] * len(kinds)
         assert got == want, name
@@ -326,7 +331,6 @@ FAILING_BOUNDARIES = {
     "underflow_c0_d0": (1e-170, 1.0, 0.0, 0.0),     # S underflows to 0
     "below_foot": (0.3, 1.0, 0.5, 0.4),
     "negative_radius": (-0.1, 1.0, 0.5, 0.0),
-    "empty_interval": (1.0, 0.5, 0.5, 0.0),
     "from_zero_c_tiny": (0.0, 1.0, 0.9e-14, 0.0),   # c snaps to 0
 }
 
@@ -334,8 +338,6 @@ FAILING_BOUNDARIES = {
 @pytest.mark.parametrize("kinds", _moment_kind_sets(),
                          ids=lambda ks: "-".join(k.value for k in ks))
 def test_boundary_evaluation_raises_where_one_kind_does(kinds):
-    from tripanel.radial_kernels import definite_radials
-
     def outcome(fn):
         try:
             return fn()
@@ -345,8 +347,12 @@ def test_boundary_evaluation_raises_where_one_kind_does(kinds):
     for name, args in FAILING_BOUNDARIES.items():
         each = [outcome(lambda k=k: definite_radial(k, *args)) for k in kinds]
         raised = [o for o in each if isinstance(o, type)]
-        got = outcome(lambda: definite_radials(kinds, *args))
+        got = outcome(lambda: _radial_differences(kinds, *args))
         if raised:
             assert got in raised and len(set(raised)) == 1, name
         else:
             assert got == each, name
+    # an empty interval is definite_radial's own check, for every kind
+    for kind in kinds:
+        with pytest.raises(ValueError, match="empty radial interval"):
+            definite_radial(kind, 1.0, 0.5, 0.5, 0.0)
