@@ -181,6 +181,15 @@ def _trial_count(text):
     return count
 
 
+def _grid_count(text):
+    """--grid: the slice needs 3 ticks a side before a point of it lies
+    inside the 0.95 ball (2 give only the corners)."""
+    count = int(text)
+    if count < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {count}")
+    return count
+
+
 def _spawned_rngs(seed, trials):
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(trials)]
@@ -417,7 +426,7 @@ def _build_parser() -> _Parser:
                    default="qsa")
     p.add_argument("--regularization", choices=_cli_names(Regularization),
                    default="pin-node")
-    p.add_argument("--grid", type=int, default=41)
+    p.add_argument("--grid", type=_grid_count, default=41)
     p.add_argument("--out-json", required=True)
     p.add_argument("--out-csv", required=True)
     p.set_defaults(func=cmd_bem)

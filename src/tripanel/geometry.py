@@ -97,18 +97,24 @@ def rotation_to_z(n) -> np.ndarray:
     anti-parallel case is handled by composing with a 180-degree flip
     about the x-axis.
     """
-    nx, ny, nz = (float(v) for v in n)
+    return np.array(_rotation_rows(n))
+
+
+def _rotation_rows(n) -> list:
+    """rotation_to_z(n) as three rows of floats.  The entries that can be
+    zero are formed as 0.0 - v or v + 0.0, so every zero is signed +."""
+    nx, ny, nz = map(float, n)
     flip = nz < 0.0
     if flip:  # a half-turn about x after rotation_to_z(-n) sends n to -e_z
         nx, ny, nz = -nx, -ny, -nz
     w = 1.0 + nz
-    xy = -nx * ny / w
-    rows = [[1.0 - nx * nx / w, xy, -nx],
-            [xy, 1.0 - ny * ny / w, -ny],
-            [nx, ny, 1.0 - (nx * nx + ny * ny) / w]]
+    xy = 0.0 - nx * ny / w
+    rows = [[1.0 - nx * nx / w, xy, 0.0 - nx],
+            [xy, 1.0 - ny * ny / w, 0.0 - ny],
+            [nx + 0.0, ny + 0.0, 1.0 - (nx * nx + ny * ny) / w]]
     if flip:
-        rows[1:] = [[-v for v in row] for row in rows[1:]]
-    return np.array(rows) + 0.0  # zeros signed +, as numpy's sums leave them
+        rows[1:] = [[0.0 - v for v in row] for row in rows[1:]]
+    return rows
 
 
 def orient_planar(p1, p2, p3) -> "PlanarTriangle":
@@ -134,7 +140,7 @@ def orient_planar(p1, p2, p3) -> "PlanarTriangle":
 _ACTIVITY = (-1, 1, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeGeometry:
     """Polar data of one directed edge A -> B of a planar triangle.
 
@@ -159,8 +165,6 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
     l = math.sqrt(l2)
     t_f = -(ax * ex + ay * ey) / l2
     norm_a, norm_b = math.hypot(ax, ay), math.hypot(bx, by)
-    u_a = -t_f * l
-    u_b = (1.0 - t_f) * l
     # the foot is perpendicular to the edge: foot = q * perp(e)/l with
     # q = cross(e, a)/l = cross(e, b)/l, which keeps d and phi stable even
     # when the edge line passes very close to the origin (a + t_f*e would
@@ -176,6 +180,7 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
         # near endpoint's angle would be off by about d / |near|
         d = 0.0
         ori = 1
+        u_a, u_b = -t_f * l, (1.0 - t_f) * l
         if abs(u_a) >= abs(u_b):
             t_pt, u_t = a, u_a
         else:
@@ -195,12 +200,11 @@ def _edge_geometry_one(a, b) -> EdgeGeometry:
 
 class PlanarTriangle:
     """Positively oriented 2D triangle with vertex 1 nearest the origin, as
-    orient_planar, its one constructor, makes it; pts are its vertices as
-    (x, y) float pairs, verts as a (3, 2) array."""
+    orient_planar, its one constructor, makes it from its vertices pts as
+    (x, y) float pairs; verts is them as a (3, 2) array."""
 
-    def __init__(self, verts):
-        self.pts = tuple((float(x), float(y)) for x, y in verts)
-        (x0, y0), (x1, y1), (x2, y2) = self.pts
+    def __init__(self, pts):
+        self.pts = (x0, y0), (x1, y1), (x2, y2) = tuple(pts)
         self.area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
     @cached_property
@@ -220,7 +224,7 @@ def edge_geometry(tri: PlanarTriangle) -> list[EdgeGeometry]:
     return [_edge_geometry_one(a, b) for a, b in tri.edges()]
 
 
-@dataclass
+@dataclass(slots=True)
 class NormalizedFrame:
     """A panel and target in the frame that rotates the panel normal onto
     +z (rotation_to_z) and puts the target at (0, 0, c): the panel's
@@ -238,15 +242,13 @@ def normalize_frame(panel: Panel, target: Target) -> NormalizedFrame:
     v - x, and c is taken at the vertex nearest x, so the offset of a target
     close to a vertex carries its own roundoff, not the roundoff of |v|.
     """
-    x, n = target.x.tolist(), panel.normal.tolist()
-    verts = panel.verts.tolist()
-    rel = [(v[0] - x[0], v[1] - x[1], v[2] - x[2]) for v in verts]
-    c = -_dot3(n, min(rel, key=lambda w: _dot3(w, w)))
-    rot = rotation_to_z(panel.normal)
-    rows = rot.tolist()
-    planar = _project(verts, x, rows)
+    (ox, oy, oz), n = target.x.tolist(), panel.normal.tolist()
+    rel = [(v[0] - ox, v[1] - oy, v[2] - oz) for v in panel.verts.tolist()]
+    c = -_dot3(n, min(rel, key=lambda w: w[0] * w[0] + w[1] * w[1] + w[2] * w[2]))
+    e1, e2, e3 = _rotation_rows(n)
+    planar = tuple((_dot3(e1, w), _dot3(e2, w)) for w in rel)
     tn = None if target.n is None else target.n.tolist()
-    rn = None if tn is None else (_dot3(rows[0], tn), _dot3(rows[1], tn), _dot3(rows[2], tn))
+    rn = None if tn is None else (_dot3(e1, tn), _dot3(e2, tn), _dot3(e3, tn))
     return NormalizedFrame(c=c, planar_points=planar, rotated_target_normal=rn)
 
 
@@ -298,20 +300,21 @@ def _acos_ratio(d, r):
     return math.atan2(math.sqrt(max((r - d) * (r + d), 0.0)), d)
 
 
-@dataclass
+@dataclass(slots=True)
 class AngleBoundary:
-    """The angle at which circles cross one side of an edge:
-    theta(r) = sign*arccos(d/r) + phi."""
+    """The angle at which circles cross one side of edge `edge` (0-2, as
+    PlanarTriangle.edges numbers them): theta(r) = sign*arccos(d/r) + phi."""
     sign: int
     d: float
     phi: float
+    edge: int
 
     def sweep(self, r: float) -> float:
         """theta(r) - phi."""
         return self.sign * _acos_ratio(self.d, r)
 
 
-@dataclass
+@dataclass(slots=True)
 class PolarSlab:
     """Radial slab [r_lo, r_hi] and the edge sides its circles cross, as
     (sigma, AngleBoundary): sigma is +1 where a side ends an arc of the
@@ -323,17 +326,25 @@ class PolarSlab:
     r_hi: float
     dphi: float
     sides: list[tuple[int, AngleBoundary]]
-    activity: tuple[int, int, int]
 
     @property
     def full_circle(self) -> bool:
         return not self.sides
 
+    @property
+    def activity(self) -> tuple[int, int, int]:
+        """Each edge's activity in the slab by its crossed sides: -1
+        inactive (none), 1 active (one), 0 split (both)."""
+        counts = [0, 0, 0]
+        for _, bnd in self.sides:
+            counts[bnd.edge] += 1
+        return (_ACTIVITY[counts[0]], _ACTIVITY[counts[1]], _ACTIVITY[counts[2]])
+
     def angular_measure(self, r: float) -> float:
         return self.dphi + sum(sigma * bnd.sweep(r) for sigma, bnd in self.sides)
 
 
-@dataclass
+@dataclass(slots=True)
 class PolarDecomposition:
     """The slabs, and each crossed edge side once as its run
     (sigma, AngleBoundary, r_lo, r_hi) over the consecutive slabs that list it."""
@@ -354,7 +365,8 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     slab opens at r = 0, unless the smallest critical radius is already
     zero up to roundoff_floor, and a slab with no crossings is a full
     circle; about an outside origin such a slab misses the triangle and
-    is dropped.
+    is dropped.  One pass over the sides per slab sums its total and
+    records each side's run, in the order the sides are first crossed.
     """
     egs = edge_geometry(tri)
     inside = all(eg.ori == 1 for eg in egs)
@@ -362,41 +374,46 @@ def decompose_polar(tri: PlanarTriangle) -> PolarDecomposition:
     if inside and bounds[0] > roundoff_floor(bounds[-1]):
         bounds.insert(0, 0.0)
 
-    sides = []  # (edge, (sigma, boundary), lo, hi): crossed by circles lo < r < hi
+    # (lo, hi, (sigma, boundary), sigma*sign, sigma*phi, d, j): side j,
+    # crossed by circles lo < r < hi, with the terms of its slab sums
+    sides = []
     for k, eg in enumerate(egs):
         if eg.foot_on_edge:
             intervals = ((1, eg.d, eg.norm_b), (-1, eg.d, eg.norm_a))
         else:
             intervals = ((1 if eg.t_foot < 0.0 else -1,
                           min(eg.norm_a, eg.norm_b), max(eg.norm_a, eg.norm_b)),)
-        sides += [(k, (-u, AngleBoundary(u * eg.ori, eg.d, eg.phi)), lo, hi)
-                  for u, lo, hi in intervals]
+        for u, lo, hi in intervals:
+            sign = u * eg.ori
+            sides.append((lo, hi, (-u, AngleBoundary(sign, eg.d, eg.phi, k)),
+                          -u * sign, -u * eg.phi, eg.d, len(sides)))
 
     two_pi = 2.0 * math.pi
-    slabs, spans = [], {}  # spans: id(side) -> [side, r_lo, r_hi] of its run
+    slabs, runs = [], {}  # runs: j -> [sigma, boundary, r_lo, r_hi] of side j
     for r_lo, r_hi in zip(bounds[:-1], bounds[1:]):
         r_mid = 0.5 * (r_lo + r_hi)
-        crossed = [side for side in sides if side[2] < r_mid < side[3]]
-        counts = [0, 0, 0]
-        for side in crossed:
-            counts[side[0]] += 1
-        activity = (_ACTIVITY[counts[0]], _ACTIVITY[counts[1]], _ACTIVITY[counts[2]])
+        crossed = []
+        net = phi_sum = sweep_sum = 0.0
+        for lo, hi, side, sweep_sign, sigma_phi, d, j in sides:
+            if lo < r_mid < hi:
+                crossed.append(side)
+                net += side[0]
+                phi_sum += sigma_phi
+                t = (r_mid - d) * (r_mid + d)  # _acos_ratio(d, r_mid), inline
+                sweep_sum += sweep_sign * math.atan2(math.sqrt(0.0 if t < 0.0 else t), d)
+                run = runs.get(j)
+                if run is None:
+                    runs[j] = [*side, r_lo, r_hi]
+                else:
+                    run[3] = r_hi
         if not crossed:  # inside the triangle about an inside origin, else missing it
             if inside:
-                slabs.append(PolarSlab(r_lo, r_hi, two_pi, [], activity))
+                slabs.append(PolarSlab(r_lo, r_hi, two_pi, []))
             continue
-        net = phi_sum = sweep_sum = 0.0
-        for _, (sigma, bnd), _, _ in crossed:
-            net += sigma
-            phi_sum += sigma * bnd.phi
-            sweep_sum += sigma * bnd.sweep(r_mid)
         if net:
             raise DegenerateTriangle(
                 f"unequal numbers of arc starts and ends in slab [{r_lo:g}, {r_hi:g}]; "
                 "the triangle is tangent to a critical circle inside a slab")
         dphi = phi_sum - two_pi * math.floor((phi_sum + sweep_sum) / two_pi)
-        slabs.append(PolarSlab(r_lo, r_hi, dphi, [side[1] for side in crossed], activity))
-        for side in crossed:
-            spans.setdefault(id(side), [side, r_lo, r_hi])[2] = r_hi
-    runs = [(*side[1], lo, hi) for side, lo, hi in spans.values()]
-    return PolarDecomposition(slabs=slabs, runs=runs)
+        slabs.append(PolarSlab(r_lo, r_hi, dphi, crossed))
+    return PolarDecomposition(slabs=slabs, runs=[tuple(run) for run in runs.values()])

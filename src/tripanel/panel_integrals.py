@@ -7,9 +7,9 @@ Assembles the radial primitives over a polar decomposition into moments
 
 over the planar triangle T of a normalized frame, in one telescoped walk
 of the decomposition (the radial primitives once per critical radius and
-once at each end of an edge side's run of slabs; J is its degree <= 1
-pass with the J radial kinds), then contracts them with the rotated
-target normal and a panel polynomial to evaluate
+once per distinct (r, d) among the ends of the edge sides' runs of slabs;
+J is its degree <= 1 pass with the J radial kinds), then contracts them
+with the rotated target normal and a panel polynomial to evaluate
 
     int_panel K(x, y) p(y) dS,   K(x, y) = (x - y).n(x) / (4 pi |x - y|^3)
     int_panel G(x, y) p(y) dS,   G(x, y) = -1 / (4 pi |x - y|)
@@ -107,14 +107,18 @@ def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
     the decomposition.  The walk telescopes: the d = 0 slab kinds are
     evaluated once per critical radius, and the part of an edge side, whose
     d, phi, sign and start/end role are the same in every slab it bounds,
-    is taken once over its run."""
+    is taken once over its run, from the edge kinds evaluated once per
+    distinct (r, d) among the runs' ends."""
     prims = _primitives_at if c == 0.0 else radial_primitives  # R1, R3 finite at c != 0
     deg0, deg1 = min_degree == 0, min_degree <= 1 <= max_degree
     slab2 = max_degree >= 2 and min_degree <= 2  # the slab part of m20, m02
     upto1 = max_degree <= 1
     m00 = m10 = m01 = m20 = m11 = m02 = m30 = m21 = m12 = m03 = 0.0
-    at = {r: prims(slab_kinds, r, c, 0.0)
-          for r in {r for slab in dec.slabs for r in (slab.r_lo, slab.r_hi)}}
+    at, edge_at = {}, {}  # r -> the slab kinds at r, (r, d) -> the edge kinds
+    for slab in dec.slabs:
+        for r in (slab.r_lo, slab.r_hi):
+            if r not in at:
+                at[r] = prims(slab_kinds, r, c, 0.0)
     for slab in dec.slabs:
         p0, p1 = at[slab.r_lo], at[slab.r_hi]
         # the odd angular moments of a slab part vanish
@@ -125,22 +129,27 @@ def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
     m02 = m20  # the slab parts of m20 and m02 are equal
     for sigma, bnd, r0, r1 in dec.runs:
         p0, p1 = at[r0], at[r1]
-        d, phi, sgn = bnd.d, bnd.phi, float(bnd.sign)
+        d, phi, sgn = bnd.d, bnd.phi, bnd.sign
         lo = r0 if r0 >= d else d  # r0 >= d up to merge rounding
-        radial = [a - b for a, b in zip(prims(edge_kinds, r1, c, d),
-                                        prims(edge_kinds, lo, c, d))]
+        # the two sides of an edge whose foot lies on it both start at r = d
+        q1 = edge_at.get((r1, d))
+        if q1 is None:
+            q1 = edge_at[r1, d] = prims(edge_kinds, r1, c, d)
+        q0 = edge_at.get((lo, d))
+        if q0 is None:
+            q0 = edge_at[lo, d] = prims(edge_kinds, lo, c, d)
         dR1 = p1[0] - p0[0]
         sin_p, cos_p = math.sin(phi), math.cos(phi)
         if deg0:
-            m00 += sigma * sgn * radial[-1]
-        dR3 = radial[0]  # R2 at max_degree 0, unused there
+            m00 += sigma * sgn * (q1[-1] - q0[-1])
+        dR3 = q1[0] - q0[0]  # R2 at max_degree 0, unused there
         if deg1:
             m10 += sigma * (d * sin_p * dR1 + sgn * cos_p * dR3)
             m01 += sigma * (-d * cos_p * dR1 + sgn * sin_p * dR3)
         if upto1:
             continue
         sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
-        dR4, dR5 = p1[1] - p0[1], radial[1]
+        dR4, dR5 = p1[1] - p0[1], q1[1] - q0[1]
         # dR1 and dR3 in the terms with a factor d, which vanish at d = 0
         # (where dR1 and dR3 may stand for a divergent radial)
         e1, e3 = (dR1, dR3) if d != 0.0 else (0.0, 0.0)
@@ -151,7 +160,7 @@ def _moment_walk(dec, c, min_degree, max_degree, slab_kinds, edge_kinds):
                         + (-0.5 * d * d * cos2 * e1 + 0.5 * sgn * d * sin2 * e3))
         if max_degree < 3:
             continue
-        dJ1, dJ3, dR6 = p1[2] - p0[2], radial[2], radial[3]
+        dJ1, dJ3, dR6 = p1[2] - p0[2], q1[2] - q0[2], q1[3] - q0[3]
         # dT integrates Q r^3 / S^3, dU integrates Q^2 r / S^3
         dT = dJ3 - c * c * dR3 if c != 0.0 else dJ3
         dU = dJ1 - (c * c + d * d) * e1
@@ -226,13 +235,15 @@ class PanelPolynomial:
         # lam_i = (a_i s1 + b_i s2 + z_i) / det: the cofactors of the map
         # lam -> (s1, s2, 1), by the edge opposite each vertex
         det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-        cof = ((y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0),
-               (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0))
-        a, b, z = [[v / det for v in col] for col in cof]  # columns of the inverse
-        form = self.form.tolist()
+        # the columns of the inverse
+        a = ((y1 - y2) / det, (y2 - y0) / det, (y0 - y1) / det)
+        b = ((x2 - x1) / det, (x0 - x2) / det, (x1 - x0) / det)
+        z = ((x1 * y2 - x2 * y1) / det, (x2 * y0 - x0 * y2) / det,
+             (x0 * y1 - x1 * y0) / det)
+        f0, f1, f2 = self.form.tolist()
 
         def form_times(u):
-            return [_dot3(f, u) for f in form]
+            return _dot3(f0, u), _dot3(f1, u), _dot3(f2, u)
 
         # p = (a s1 + b s2 + z)^T C (a s1 + b s2 + z); only the declared
         # degrees are formed, the others are exactly zero
@@ -273,8 +284,9 @@ def _k_coeffs(q, c, nu, kmat=None) -> dict:
     """
     groups = [(1.0, (((0, 0), c * nu[2]), ((1, 0), -nu[0]), ((0, 1), -nu[1])))]
     if kmat is not None:
-        groups.insert(0, (nu[2], (((2, 0), -0.5 * kmat[0, 0]), ((1, 1), -kmat[0, 1]),
-                                  ((0, 2), -0.5 * kmat[1, 1]))))
+        (k11, k12), (_, k22) = kmat.tolist()
+        groups.insert(0, (nu[2], (((2, 0), -0.5 * k11), ((1, 1), -k12),
+                                  ((0, 2), -0.5 * k22))))
     coef: dict[tuple[int, int], float] = {}
     for scale, terms in groups:
         for (a, b), qab in q.items():

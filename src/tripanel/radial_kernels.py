@@ -13,10 +13,11 @@ arccos(d/r) is arctan2(Q, d), and arctan(c*q)/c uses a 4-term odd series
 when |c*q| is tiny.  r, c and d are Python floats and every primitive is
 plain `math`.  `radial_primitives` evaluates S, Q, the angle, the log and
 the arctan term once at a radius for every kind requested; the moment
-walk calls it once per critical radius and once at each end of an edge
-side's run, and takes the differences itself.  `definite_radial` is one
-kind's primitive(r_hi) - primitive(r_lo) from the same evaluation, so
-each formula lives in one place (`_primitives`).
+walk calls it once per critical radius for the d = 0 slab kinds and once
+per distinct (r, d) among the ends of the edge sides' runs, and takes the
+differences itself.  `definite_radial` is one kind's primitive(r_hi) -
+primitive(r_lo) from the same evaluation, so each formula lives in one
+place (`radial_primitives`).
 Domains are validated, and DivergentIntegral is raised where the
 antiderivative is -inf (r=0 with c=0 for R1/R2/R3).
 """
@@ -46,17 +47,14 @@ class RadialKind(Enum):
     J3 = "J3"
 
 
-def _sq(r, c, d):
-    """S and Q at r (Q = 0 below the foot distance)."""
+def _sq_angle(r, c, d):
+    """S, Q (0 below the foot distance) and arccos(d/r) at r.  The angle is
+    arctan(Q/d), from the Q the other terms use, so their cancellation as
+    r grazes d holds (arccos of a rounded d/r loses half the digits
+    there); pi/2 at d = 0, also the r = 0 limit."""
     q2 = r * r - d * d
-    return math.sqrt(r * r + c * c), (math.sqrt(q2) if q2 > 0.0 else 0.0)
-
-
-def _acos_dr(q, d):
-    """arccos(d/r) as arctan(Q/d), from the Q the other terms use, so their
-    cancellation as r grazes d holds (arccos of a rounded d/r loses half
-    the digits there); pi/2 at d = 0, also the r = 0 limit."""
-    return math.atan2(q, d) if d > 0.0 else HALF_PI
+    q = math.sqrt(q2) if q2 > 0.0 else 0.0
+    return math.sqrt(r * r + c * c), q, (math.atan2(q, d) if d > 0.0 else HALF_PI)
 
 
 def _atan_series(q, t):
@@ -88,16 +86,35 @@ R1, R2, R3, R4, R5, R6cubic, J1, J2, J3 = RadialKind
 _DIVERGENT_AT_ZERO = (R1, R2, R3)
 
 
-def _primitives(kinds, r, c, d):
-    """Each kind's primitive at r (c, d prepared, r checked by _radius).
+def radial_primitives(kinds, r: float, c: float, d: float) -> list:
+    """Each kind's primitive at r, for the tuple kinds.
 
-    S, Q and the angle arccos(d/r) are evaluated once, the log term
+    |c| and d below 1e-14 snap to 0 (the sign of c never matters), r is
+    checked against d and raised to d if just below, and a kind whose
+    primitive is -inf at r = 0 with c = 0 raises DivergentIntegral.  S, Q
+    and the angle arccos(d/r) are evaluated once, the log term
     log((S+Q)/h) and the arctan term arctan(c*Q/(d*S)) once on first use,
     and every kind takes them from there.
     """
-    s, q = _sq(r, c, d)
+    c, d, r = abs(float(c)), abs(float(d)), float(r)
+    if c < _CLAMP:
+        c = 0.0
+    if d < _CLAMP:
+        d = 0.0
+    if r < 0.0:
+        raise ValueError(f"radius must be nonnegative, got {r!r}")
+    if r < d:
+        if r < d * (1.0 - 1e-12):
+            raise ValueError(f"radius {r!r} below foot distance {d!r}")
+        r = d
+    if c == 0.0 and r * r == 0.0:  # S = 0
+        for kind in kinds:
+            if kind in _DIVERGENT_AT_ZERO:
+                raise DivergentIntegral(
+                    f"{kind.value} primitive is -infinity at r=0 with c=0 "
+                    "(target on the open panel)")
+    s, q, ac = _sq_angle(r, c, d)
     h2 = c * c + d * d
-    ac = _acos_dr(q, d)
     lg = at = None
     out = []
     for kind in kinds:
@@ -139,37 +156,6 @@ def _primitives(kinds, r, c, d):
     return out
 
 
-def _prepare(c, d):
-    """|c| and d snapped to 0 below 1e-14."""
-    c, d = abs(float(c)), abs(float(d))  # the sign of c never matters
-    return (0.0 if c < _CLAMP else c), (0.0 if d < _CLAMP else d)
-
-
-def _radius(kinds, r: float, c: float, d: float) -> float:
-    """r checked against the prepared c and d, and raised to d if just below."""
-    r = float(r)
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r!r}")
-    if r < d * (1.0 - 1e-12):
-        raise ValueError(f"radius {r!r} below foot distance {d!r}")
-    r = max(r, d)
-    if c == 0.0 and r * r == 0.0:  # S = 0
-        for kind in kinds:
-            if kind in _DIVERGENT_AT_ZERO:
-                raise DivergentIntegral(
-                    f"{kind.value} primitive is -infinity at r=0 with c=0 "
-                    "(target on the open panel)")
-    return r
-
-
-def radial_primitives(kinds, r: float, c: float, d: float) -> list:
-    """Each kind's primitive at r, for the tuple kinds: c and d are
-    prepared and r is checked once, and S, Q, the angle, the log and the
-    arctan terms are evaluated once for every kind (`_primitives`)."""
-    c, d = _prepare(c, d)
-    return _primitives(kinds, _radius(kinds, r, c, d), c, d)
-
-
 def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,
                     c: float, d: float) -> float:
     """primitive(r_hi) - primitive(r_lo) of one kind; the sign of c is
@@ -186,8 +172,7 @@ def definite_radial(kind: RadialKind, r_lo: float, r_hi: float,
 def radial_integrand(kind: RadialKind, r: float, c: float, d: float) -> float:
     """The integrand each primitive differentiates to (for cross-checks)."""
     kind, r, c, d = RadialKind(kind).value, float(r), abs(float(c)), abs(float(d))
-    s, q = _sq(r, c, d)
-    ac = _acos_dr(q, d)
+    s, q, ac = _sq_angle(r, c, d)
     num = {"R1": r, "R2": ac * r, "R3": q * r, "R4": r ** 3, "R5": ac * r ** 3,
            "R6cubic": r * q ** 3, "J1": r, "J2": ac * r, "J3": q * r}[kind]
     return num / s if kind.startswith("J") else num / s ** 3

@@ -339,6 +339,19 @@ def test_torus_counts_must_be_whole_numbers(capsys, tmp_path, command, counts):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["0", "1", "2"])
+def test_bem_grid_below_3_exits_1(capsys, tmp_path, grid):
+    # 0 ticks write an empty slice, 1 one NaN row at (-0.95, -0.95, 0), and
+    # 2 only the four corners, all outside the 0.95 ball
+    with pytest.raises(SystemExit) as exc:
+        main(["bem", "--sphere-subdivisions", "0", "--grid", grid,
+              "--out-json", str(tmp_path / "u.json"),
+              "--out-csv", str(tmp_path / "u.csv")])
+    assert exc.value.code == 1
+    assert f"--grid: must be at least 3, got {grid}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("fmt", ["json", "off"])
 def test_bem_command_mesh_file(capsys, tmp_path, fmt):
     # a JSON file keeps the stored normals and an OFF file drops them: the

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripanel import radial_kernels
+from tripanel import panel_integrals
 from tripanel.errors import DivergentIntegral
 from tripanel.geometry import (Panel, PolarDecomposition, PolarSlab, Target, decompose_polar,
-                               orient_planar)
+                               edge_geometry, orient_planar)
 from tripanel.oracle import (adaptive_triangle, duffy_integrate, flat_panel_oracle,
                              north_pole_panels)
 from tripanel.panel_integrals import (
@@ -21,10 +21,10 @@ from tripanel.panel_integrals import (
     integrate_g_panel,
     integrate_k_panel,
 )
-from tripanel.radial_kernels import J1, R1, R4
-from tripanel.radial_kernels import _primitives as primitives
+from tripanel.radial_kernels import J1, R1, R4, radial_primitives
 
-from solid_angle import grazing_triangle, near_vertex_case, pole_panel, vos_k_unit_density
+from solid_angle import (grazing_triangle, near_vertex_case, point_in_triangle, pole_panel,
+                         vos_k_unit_density)
 
 FOUR_PI = 4.0 * math.pi
 # the flat oracle's absolute floor, as strict as before the 1/(4 pi)
@@ -67,7 +67,7 @@ def random_poly(rng, degree):
 # --------------------------------------------------------------- moment sets
 
 def test_full_circle_slab_k_moments():
-    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, 2.0 * math.pi, [], (0, 0, 0))],
+    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, 2.0 * math.pi, [])],
                              runs=[])
     c = 0.8
     m = compute_k_moments(dec, c, max_degree=3)
@@ -82,7 +82,7 @@ def test_full_circle_slab_k_moments():
 
 
 def test_full_circle_slab_g_moments():
-    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, 2.0 * math.pi, [], (0, 0, 0))],
+    dec = PolarDecomposition(slabs=[PolarSlab(0.5, 2.0, 2.0 * math.pi, [])],
                              runs=[])
     j0, jx, jy = compute_g_moments(dec, 0.0)
     assert j0 == pytest.approx(2.0 * math.pi * 1.5, rel=1e-14)
@@ -587,9 +587,9 @@ def test_walk_evaluates_each_radius_and_edge_side_once(monkeypatch):
 
     def spy(kinds, r, c, d):
         calls.append((set(kinds) <= {R1, R4, J1}, r))
-        return primitives(kinds, r, c, d)
+        return radial_primitives(kinds, r, c, d)
 
-    monkeypatch.setattr(radial_kernels, "_primitives", spy)
+    monkeypatch.setattr(panel_integrals, "radial_primitives", spy)
     rng = np.random.default_rng(29)
     for case in range(300):
         dec = decompose_polar(grazing_triangle(rng, ("generic", "edge", "vertex")[case % 3]))
@@ -603,6 +603,48 @@ def test_walk_evaluates_each_radius_and_edge_side_once(monkeypatch):
             slab_r = [r for is_slab, r in calls if is_slab]
             assert len(slab_r) == len(set(slab_r)) <= len(radii)
             assert len(calls) - len(slab_r) <= 2 * n_sides
+
+
+def _walk_evaluations(monkeypatch, walk):
+    """The (kinds, r, d) of every radial evaluation of one moment walk."""
+    calls = []
+
+    def spy(kinds, r, c, d):
+        calls.append((tuple(kinds), r, d))
+        return radial_primitives(kinds, r, c, d)
+
+    monkeypatch.setattr(panel_integrals, "radial_primitives", spy)
+    walk()
+    monkeypatch.undo()
+    return calls
+
+
+def test_walk_evaluates_each_kinds_radius_and_distance_once(monkeypatch):
+    # the two sides of an edge whose foot lies on it both start at r = d:
+    # one evaluation serves both runs.  About this inside origin all three
+    # feet lie on their edges, six runs with three shared r = d ends
+    inside = orient_planar((1.0, 0.1), (-0.4, 0.9), (-0.5, -0.8))
+    tris = [inside]
+    rng = np.random.default_rng(41)
+    while len(tris) < 40:  # outside origins, some with feet on an edge
+        tri = grazing_triangle(rng, "generic")
+        if not point_in_triangle((0.0, 0.0), tri):
+            tris.append(tri)
+    shared = 0
+    for k, tri in enumerate(tris):
+        dec = decompose_polar(tri)
+        ends = [(bnd.d, r0) for _, bnd, r0, _ in dec.runs if r0 <= bnd.d]
+        shared += len(ends) - len(set(ends))
+        if k == 0:
+            assert all(eg.foot_on_edge for eg in edge_geometry(tri))
+            assert len(dec.runs) == 6 and len(ends) == 6 and len(set(ends)) == 3
+        for c in (0.0, 1e-3, -0.4):
+            for walk in (lambda: compute_k_moments(dec, c, 3, 2 if c == 0.0 else 0),
+                         lambda: compute_k_moments(dec, c, 2, 2),
+                         lambda: compute_g_moments(dec, c)):
+                calls = _walk_evaluations(monkeypatch, walk)
+                assert len(calls) == len(set(calls)), (k, c)
+    assert shared > 3  # the outside origins share ends too
 
 
 def test_k_interior_feet_match_van_oosterom_strackee():
